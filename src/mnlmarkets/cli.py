@@ -16,7 +16,7 @@ import argparse
 import json
 import math
 import sys
-
+import warnings
 
 from .equilibrium import (
     DomainError,
@@ -255,16 +255,20 @@ def cmd_gcurve(args) -> int:
     return 0
 
 
-def cmd_network(args) -> int:
-    market = parse_market(_load_json(args.market))
+def _load_checked_market(path: str):
+    """Load a market file; warn on stderr when the market is not consistent."""
+    market = parse_market(_load_json(path))
     consistency = check_consistency(market)
     if not consistency.consistent:
         print(
             f"warning: market is not consistent (max share bound {consistency.max_share:.4f})",
             file=sys.stderr,
         )
-    import warnings
+    return market, consistency
 
+
+def cmd_network(args) -> int:
+    market, consistency = _load_checked_market(args.market)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         rep = solve_network_equilibrium(market)
@@ -284,16 +288,8 @@ def cmd_network(args) -> int:
 
 
 def cmd_segment(args) -> int:
-    market = parse_market(_load_json(args.market))
-    consistency = check_consistency(market)
-    if not consistency.consistent:
-        print(
-            f"warning: market is not consistent (max share bound {consistency.max_share:.4f})",
-            file=sys.stderr,
-        )
+    market, _ = _load_checked_market(args.market)
     if args.compare:
-        import warnings
-
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             cmp = compare_segmented_vs_whole(market)

@@ -11,14 +11,18 @@ each seller's assigned buyers form a pool, which is then re-equilibrated
 with the capacity-aware single-seller best response (never worse than the
 unit price it was scored at).
 
-Arc weights are fixed-point integers at scale 1e9 and the flow solver does
-exact integer arithmetic, so the optimum is deterministic with no floating
-tie ambiguity.
+``max_weight_flow`` solves that flow as an assignment: it fills as many
+units as visibility allows and, among those assignments, returns the
+heaviest. It grows the assignment one buyer at a time along the heaviest
+augmenting path, searched over the n sellers rather than the m + n + 2
+flow nodes. Arc weights are fixed-point integers at scale 1e9 and the
+solver adds them exactly in int64, so the optimal weight is deterministic.
+When several assignments share that weight, a fixed lowest-index rule
+(documented on ``max_weight_flow``) picks one of them.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -35,6 +39,11 @@ from .network import (
 
 WEIGHT_SCALE = 10 ** 9
 UNIT_PRICE_FLOOR = 1.0 / (1.0 + math.e)  # worst arc weight when theta >= 0
+# Weight of an invisible pair. Real path gains stay within n * WEIGHT_SCALE
+# of zero, so every gain or path label built from _NO_ARC stays below
+# _UNREACHED and counts as no arc.
+_NO_ARC = -(1 << 60)
+_UNREACHED = _NO_ARC // 2
 
 
 @dataclass(frozen=True)
@@ -131,103 +140,83 @@ def max_weight_flow(network: FlowNetwork) -> FlowAssignment:
     """Max-weight integral flow of min(m, sum c) units, or the densest
     feasible flow when visibility cannot carry that much.
 
-    Successive shortest paths on negated weights with integer node
-    potentials: one Bellman-Ford pass absorbs the negative arc costs, after
-    which Dijkstra on reduced costs finds each augmenting path. Capacities
-    and costs are integers, so every intermediate flow is integral and the
-    optimum is exact.
+    Successive longest augmenting paths on a graph of the n sellers. A path
+    takes an unassigned buyer into a seller, may hand buyers on from seller
+    to seller, and ends at a seller with spare capacity. Entering seller j
+    gains the heaviest free buyer visible to j; moving a buyer from seller i
+    to seller j gains the best W[j, k] - W[i, k] over the buyers k that i
+    holds. Each augmentation takes the heaviest such path, found by
+    Bellman-Ford over the sellers; because every intermediate assignment is
+    the heaviest of its size, the seller graph has no positive cycle. Only
+    the transfer rows of the sellers on the path change after it. Weights
+    are read once from ``network.arcs`` into an int64 seller x buyer matrix,
+    so every sum is exact.
+
+    Ties go to the lowest index: the lowest buyer for each entry and each
+    transfer, the lowest predecessor seller in each Bellman-Ford round (a
+    seller's label changes only on strict gain), and the lowest seller with
+    spare capacity as the end of the path.
     """
-    market = network.market
-    target = min(market.buyers, sum(market.capacities))
-    nn = network.num_nodes
-    heads: list[int] = []
-    caps: list[int] = []
-    costs: list[int] = []
-    adj: list[list[int]] = [[] for _ in range(nn)]
+    m, n = network.market.buyers, network.market.sellers
+    arcs = np.array(
+        [(a.tail, a.head, a.capacity, a.weight) for a in network.arcs], dtype=np.int64
+    )
+    tail, head, cap, w = arcs.T
+    to_sink = head == network.sink
+    mid = ~to_sink & (tail != network.source)
+    capacity = np.zeros(n, dtype=np.int64)
+    capacity[tail[to_sink] - 1 - m] = cap[to_sink]
+    weight = np.full((n, m), _NO_ARC, dtype=np.int64)
+    weight[head[mid] - 1 - m, tail[mid] - 1] = w[mid]
 
-    def add(u: int, v: int, cap: int, cost: int) -> None:
-        adj[u].append(len(heads))
-        heads.append(v)
-        caps.append(cap)
-        costs.append(cost)
-        adj[v].append(len(heads))
-        heads.append(u)
-        caps.append(0)
-        costs.append(-cost)
-
-    for arc in network.arcs:
-        add(arc.tail, arc.head, arc.capacity, -arc.weight)
-
-    big = 1 << 62
-    # Bellman-Ford potentials; the network is layered so a few passes settle.
-    pot = [big] * nn
-    pot[network.source] = 0
-    for _ in range(4):
-        changed = False
-        for u in range(nn):
-            if pot[u] >= big:
-                continue
-            for e in adj[u]:
-                if caps[e] > 0 and pot[u] + costs[e] < pot[heads[e]]:
-                    pot[heads[e]] = pot[u] + costs[e]
-                    changed = True
-        if not changed:
-            break
-    pot = [0 if d >= big else d for d in pot]
-
+    free = weight.copy()  # columns of assigned buyers are blanked to _NO_ARC
+    owner = np.full(m, -1, dtype=np.intp)
+    load = np.zeros(n, dtype=np.int64)
+    gain = np.full((n, n), _NO_ARC, dtype=np.int64)  # transfer gain seller i -> j
+    via = np.zeros((n, n), dtype=np.intp)  # the buyer that transfer moves
+    sellers = np.arange(n)
+    target = min(m, int(capacity.sum()))
     sent = 0
-    total_cost = 0
     while sent < target:
-        dist = [big] * nn
-        parent_edge = [-1] * nn
-        dist[network.source] = 0
-        heap = [(0, network.source)]
-        while heap:
-            d, u = heapq.heappop(heap)
-            if d > dist[u]:
-                continue
-            for e in adj[u]:
-                if caps[e] <= 0:
-                    continue
-                v = heads[e]
-                nd = d + costs[e] + pot[u] - pot[v]
-                if nd < dist[v]:
-                    dist[v] = nd
-                    parent_edge[v] = e
-                    heapq.heappush(heap, (nd, v))
-        if dist[network.sink] >= big:
+        entry = free.argmax(axis=1)
+        label = free[sellers, entry]
+        parent = np.full(n, -1, dtype=np.intp)
+        for _ in range(n - 1):
+            reach = label[:, None] + gain
+            best = reach.argmax(axis=0)
+            value = reach[best, sellers]
+            better = (value > label) & (value > _UNREACHED)
+            if not better.any():
+                break
+            label = np.where(better, value, label)
+            parent = np.where(better, best, parent)
+        label = np.where((load < capacity) & (label > _UNREACHED), label, _NO_ARC)
+        end = int(label.argmax())
+        if label[end] == _NO_ARC:
             break
-        for v in range(nn):
-            if dist[v] < big:
-                pot[v] += dist[v]
-        # Bottleneck along the path (always >= 1; buyer arcs cap it at 1).
-        push = big
-        v = network.sink
-        while v != network.source:
-            e = parent_edge[v]
-            push = min(push, caps[e])
-            v = heads[e ^ 1]
-        v = network.sink
-        while v != network.source:
-            e = parent_edge[v]
-            caps[e] -= push
-            caps[e ^ 1] += push
-            total_cost += push * costs[e]
-            v = heads[e ^ 1]
-        sent += push
+        path = [end]
+        while parent[path[-1]] >= 0:
+            path.append(int(parent[path[-1]]))
+        for j, i in zip(path, path[1:]):
+            owner[via[i, j]] = j
+        start = entry[path[-1]]
+        owner[start] = path[-1]
+        free[:, start] = _NO_ARC
+        load[end] += 1
+        sent += 1
+        for i in path:
+            held = np.flatnonzero(owner == i)
+            delta = weight[:, held] - weight[i, held]
+            pick = delta.argmax(axis=1)
+            gain[i] = delta[sellers, pick]
+            via[i] = held[pick]
+            gain[i, i] = _NO_ARC
 
-    pairs = []
-    edge_id = 0
-    for arc in network.arcs:
-        if 1 <= arc.tail <= market.buyers and arc.head != network.sink:
-            if caps[edge_id] == 0 and caps[edge_id ^ 1] == 1:
-                pairs.append((arc.tail - 1, arc.head - 1 - market.buyers))
-        edge_id += 2
-    pairs.sort()
+    assigned = np.flatnonzero(owner >= 0)
     return FlowAssignment(
-        pairs=tuple(pairs),
+        pairs=tuple((int(k), int(owner[k])) for k in assigned),
         value=sent,
-        total_weight=-total_cost,
+        total_weight=int(weight[owner[assigned], assigned].sum()),
         shortfall=sent < target,
     )
 

@@ -293,3 +293,220 @@ class TestCompare:
         mkt = BipartiteMarket(np.ones((2, 3)), capacities=[2, 2])
         cmp = compare_segmented_vs_whole(mkt)
         assert cmp.segmented_revenue > 0 and cmp.whole_revenue > 0
+
+
+def fixed_point_weights(market):
+    """Fixed-point weight of every visible pair, computed from theta alone."""
+    weights = np.zeros(market.theta.shape, dtype=np.int64)
+    for i, k in zip(*np.nonzero(market.visibility)):
+        weights[i, k] = round(WEIGHT_SCALE * unit_price_weight(float(market.theta[i, k])))
+    return weights
+
+
+def seller_slots(market):
+    """One slot per unit of capacity a seller could ever fill."""
+    visible = market.visibility.sum(axis=1)
+    return np.repeat(
+        np.arange(market.sellers), np.minimum(market.capacities, visible)
+    )
+
+
+def scipy_assignment(market):
+    """(count, weight) from linear_sum_assignment on buyers x seller slots.
+
+    A visible pair scores BIG plus its weight, an invisible one 0. BIG
+    exceeds any total weight, so one more visible pair always wins: the
+    optimum has maximum cardinality first and maximum weight second. All
+    scores are integers far below 2**53, so float64 sums are exact.
+    """
+    optimize = pytest.importorskip("scipy.optimize")
+    weights = fixed_point_weights(market)
+    slots = seller_slots(market)
+    big = WEIGHT_SCALE * (market.buyers + 1)
+    visible = market.visibility[slots].T
+    score = np.where(visible, big + weights[slots].T, 0).astype(float)
+    buyers, cols = optimize.linear_sum_assignment(score, maximize=True)
+    used = visible[buyers, cols]
+    sellers = slots[cols[used]]
+    return int(used.sum()), int(weights[sellers, buyers[used]].sum())
+
+
+def networkx_matching(market):
+    """(count, weight) from max_weight_matching(maxcardinality=True) on the
+    buyer / seller-slot graph; integer weights keep networkx exact."""
+    nx = pytest.importorskip("networkx")
+    weights = fixed_point_weights(market)
+    graph = nx.Graph()
+    for slot, i in enumerate(seller_slots(market)):
+        for k in np.flatnonzero(market.visibility[i]):
+            graph.add_edge(("buyer", int(k)), ("slot", slot), weight=int(weights[i, k]))
+    matching = nx.max_weight_matching(graph, maxcardinality=True)
+    return len(matching), sum(graph[u][v]["weight"] for u, v in matching)
+
+
+def networkx_min_cost_flow(market):
+    """(count, weight) from networkx's max_flow_min_cost on the capacitated
+    source -> buyer -> seller -> sink graph with negated integer weights."""
+    nx = pytest.importorskip("networkx")
+    weights = fixed_point_weights(market)
+    graph = nx.DiGraph()
+    for k in range(market.buyers):
+        graph.add_edge("source", ("buyer", k), capacity=1, weight=0)
+    for i in range(market.sellers):
+        graph.add_edge(("seller", i), "sink", capacity=market.capacities[i], weight=0)
+        for k in np.flatnonzero(market.visibility[i]):
+            graph.add_edge(
+                ("buyer", int(k)), ("seller", i), capacity=1, weight=-int(weights[i, k])
+            )
+    flow = nx.max_flow_min_cost(graph, "source", "sink")
+    return sum(flow["source"].values()), -nx.cost_of_flow(graph, flow)
+
+
+def oracle_markets():
+    """30 markets up to 12 x 60; every third has integer qualities, so many
+    pairs share one exact fixed-point weight."""
+    rng = np.random.default_rng(149)
+    markets = []
+    for trial in range(30):
+        n, m = (12, 60) if trial == 29 else (int(rng.integers(1, 13)), int(rng.integers(1, 61)))
+        if trial % 3 == 0:
+            theta = rng.integers(-1, 3, (n, m)).astype(float)
+        else:
+            theta = rng.uniform(-3.0, 3.0, (n, m))
+        markets.append(BipartiteMarket(
+            theta,
+            visibility=rng.random((n, m)) < rng.uniform(0.2, 1.0),
+            capacities=rng.integers(1, 8, n),
+        ))
+    return markets
+
+
+class TestIndependentOracles:
+    def test_scipy_linear_sum_assignment(self):
+        for mkt in oracle_markets():
+            flow = max_weight_flow(build_flow_network(mkt))
+            assert (flow.value, flow.total_weight) == scipy_assignment(mkt)
+
+    def test_networkx_max_weight_matching(self):
+        for mkt in oracle_markets():
+            flow = max_weight_flow(build_flow_network(mkt))
+            assert (flow.value, flow.total_weight) == networkx_matching(mkt)
+
+    def test_thirty_by_four_hundred(self):
+        # max_weight_matching needs about a minute on the slot graph at this
+        # size, so networkx's network simplex checks this market instead.
+        rng = np.random.default_rng(151)
+        mkt = BipartiteMarket(
+            rng.uniform(-1.0, 2.3, (30, 400)),
+            visibility=rng.random((30, 400)) < 0.5,
+            capacities=rng.integers(1, 14, 30),
+        )
+        flow = max_weight_flow(build_flow_network(mkt))
+        expected = (flow.value, flow.total_weight)
+        assert expected == scipy_assignment(mkt)
+        assert expected == networkx_min_cost_flow(mkt)
+
+
+class TestFlowEdgeCases:
+    def check(self, mkt):
+        flow = max_weight_flow(build_flow_network(mkt))
+        count, weight = brute_force_assignment(mkt)
+        assert (flow.value, flow.total_weight) == (count, weight)
+        assert flow.shortfall == (count < min(mkt.buyers, sum(mkt.capacities)))
+        # The reported pairs are a valid assignment that carries the weight.
+        weights = fixed_point_weights(mkt)
+        buyers = [k for k, _ in flow.pairs]
+        assert len(set(buyers)) == len(buyers) == flow.value
+        assert all(mkt.visibility[i, k] for k, i in flow.pairs)
+        load = np.bincount([i for _, i in flow.pairs], minlength=mkt.sellers)
+        assert np.all(load <= mkt.capacities)
+        assert sum(int(weights[i, k]) for k, i in flow.pairs) == flow.total_weight
+        return flow
+
+    def test_one_seller(self):
+        flow = self.check(BipartiteMarket([[0.5, 2.0, -1.0, 1.5]], capacities=[2]))
+        assert flow.pairs == ((1, 0), (3, 0)) and not flow.shortfall
+
+    def test_one_buyer(self):
+        flow = self.check(BipartiteMarket([[0.5], [2.0], [1.0]], capacities=[1, 1, 1]))
+        assert flow.pairs == ((0, 1),) and not flow.shortfall
+
+    def test_all_pairs_invisible(self):
+        mkt = BipartiteMarket(np.ones((2, 3)), visibility=np.zeros((2, 3)), capacities=[1, 2])
+        flow = self.check(mkt)
+        assert flow == FlowAssignment(pairs=(), value=0, total_weight=0, shortfall=True)
+
+    def test_seller_without_visible_buyer(self):
+        mkt = BipartiteMarket(
+            [[2.0, 1.0, 0.0], [3.0, 3.0, 3.0]],
+            visibility=[[True, True, True], [False, False, False]],
+            capacities=[2, 3],
+        )
+        flow = self.check(mkt)
+        assert flow.pairs == ((0, 0), (1, 0)) and flow.shortfall
+
+    def test_capacity_beyond_buyers(self):
+        # sum c = 9 > m = 4 and seller 1's capacity exceeds its two visible
+        # buyers; buyer 3 is visible to seller 0 only and must go there.
+        mkt = BipartiteMarket(
+            [[0.0, 0.5, 1.0, -2.0], [2.0, 2.0, 0.0, 0.0]],
+            visibility=[[True, True, True, True], [True, True, False, False]],
+            capacities=[4, 5],
+        )
+        flow = self.check(mkt)
+        assert flow.pairs == ((0, 1), (1, 1), (2, 0), (3, 0)) and not flow.shortfall
+
+    def test_cardinality_before_weight(self):
+        # Buyer 0 alone on seller 0 is the heaviest single pair, but two
+        # lighter pairs cover both buyers.
+        mkt = BipartiteMarket(
+            [[3.0, 0.0], [0.0, -3.0]],
+            visibility=[[True, True], [True, False]],
+            capacities=[1, 1],
+        )
+        flow = self.check(mkt)
+        assert flow.pairs == ((0, 1), (1, 0))
+
+    def test_uniform_market_fills_lowest_indices(self):
+        # Every pair weighs the same, so each augmentation takes the lowest
+        # free buyer into the lowest seller with spare capacity.
+        flow = self.check(BipartiteMarket(np.ones((3, 5)), capacities=[2, 1, 3]))
+        assert flow.pairs == ((0, 0), (1, 0), (2, 1), (3, 2), (4, 2))
+
+    def test_tie_goes_to_lowest_open_seller(self):
+        # Buyer 1 weighs the same at both sellers and moving buyer 0 gains
+        # nothing, so the path ends at seller 0, the lowest with spare room.
+        flow = self.check(BipartiteMarket([[2.0, 0.0], [1.0, 0.0]], capacities=[2, 1]))
+        assert flow.pairs == ((0, 0), (1, 0))
+
+    def test_tie_moves_lowest_buyer(self):
+        # Seller 0 is full with buyers 0 and 1, which it values alike, and
+        # buyer 2 sees only seller 0: the transfer to seller 1 moves buyer 0.
+        mkt = BipartiteMarket(
+            [[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]],
+            visibility=[[True, True, True], [True, True, False]],
+            capacities=[2, 1],
+        )
+        assert self.check(mkt).pairs == ((0, 1), (1, 0), (2, 0))
+
+    def test_tie_takes_lowest_predecessor_seller(self):
+        # Buyer 2 can enter seller 0 or 1 at equal weight, each of which then
+        # hands its buyer on to seller 2 at equal loss; seller 0 is the
+        # lowest predecessor of seller 2.
+        mkt = BipartiteMarket(
+            [[2.0, 0.0, 1.0], [0.0, 2.0, 1.0], [1.0, 1.0, 0.0]],
+            visibility=[[True, False, True], [False, True, True], [True, True, False]],
+            capacities=[1, 1, 1],
+        )
+        assert self.check(mkt).pairs == ((0, 2), (1, 1), (2, 0))
+
+    def test_tie_heavy_integer_markets(self):
+        rng = np.random.default_rng(157)
+        for _ in range(40):
+            n, m = int(rng.integers(1, 4)), int(rng.integers(1, 7))
+            mkt = BipartiteMarket(
+                rng.integers(0, 2, (n, m)).astype(float),
+                visibility=rng.random((n, m)) < 0.8,
+                capacities=rng.integers(1, 3, n),
+            )
+            self.check(mkt)
