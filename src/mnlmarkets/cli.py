@@ -5,7 +5,8 @@ adversary-demo. Inputs are JSON files with an explicit schema version;
 unknown fields are rejected so typos fail loudly. Outputs are deterministic
 byte-for-byte for a fixed config and seed: floats print with 12 significant
 digits and a dot decimal, JSON keys are sorted, and the per-replication RNG
-streams make results independent of the worker count.
+streams fix every replication's revenue; ``simulate --workers`` is accepted
+and has no effect.
 
 Exit codes: 0 success, 2 config or schema problem, 3 numeric or I/O failure.
 """
@@ -207,6 +208,8 @@ def cmd_simulate(args) -> int:
     seed = int(args.seed if args.seed is not None else doc.get("seed", 0))
     if replications < 1 or seed < 0:
         raise SchemaError("replications must be >= 1 and seed >= 0")
+    if args.workers < 1:
+        raise SchemaError(f"--workers must be >= 1, got {args.workers}")
 
     lines = [SIMULATE_CSV_COLUMNS]
     experiment = 0
@@ -370,7 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--config", required=True)
     p_sim.add_argument("--seed", type=int, default=None)
     p_sim.add_argument("--replications", type=int, default=None)
-    p_sim.add_argument("--workers", type=int, default=1)
+    p_sim.add_argument("--workers", type=int, default=1,
+                       help="accepted for compatibility; replications run in lockstep in one process")
     p_sim.add_argument("--out", default=None)
     p_sim.set_defaults(func=cmd_simulate)
 

@@ -8,15 +8,20 @@ that rules out constant-ratio online algorithms.
 
 Randomness contract: replication r of a run seeded with s draws from
 ``numpy.random.default_rng([s, r])``, an independent, platform-stable PCG64
-stream. Every episode step consumes exactly one uniform variate, so results
-are bit-reproducible and independent of how replications are scheduled
-across workers.
+stream. Every episode step consumes exactly one uniform variate, so step t
+of replication r always sees the t-th double of that stream.
+
+``estimate_ratio`` plays the replications of a named policy in lockstep in
+one process: step t decides an assortment bitmask for every replication at
+once, looks its cumulative demands and prices up in a table filled through
+``equilibrium_outcome``, and draws each buyer from column t of the
+replications' uniforms. Revenues are bit-identical to ``run_episode``, which
+remains the path for custom policies and recorded paths.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -25,6 +30,7 @@ import numpy as np
 from .equilibrium import (
     DomainError,
     EquilibriumOutcome,
+    ItemCatalog,
     equilibrium_outcome,
     quality_for_target_revenue,
     solo_revenue_for_quality,
@@ -34,9 +40,12 @@ from .policies import (
     InventoryState,
     OnlineInstance,
     PolicyDecision,
+    classify_heavy,
+    exponential_weight,
     greedy_all_next,
     hybrid_next,
     modified_hybrid_next,
+    solo_demands,
 )
 
 Policy = Callable[[OnlineInstance, InventoryState], PolicyDecision]
@@ -154,13 +163,171 @@ def run_episode(
     )
 
 
-def _revenue_block(policy_name: str, instance: OnlineInstance, seed: int,
-                   lo: int, hi: int) -> list[float]:
-    policy = POLICIES[policy_name]
-    return [
-        run_episode(policy, instance, episode_rng(seed, rep), record_path=False).revenue
-        for rep in range(lo, hi)
-    ]
+# The last uniform matrix drawn, read-only so that no caller can change
+# another's draws.
+_uniforms: dict[tuple[int, int], np.ndarray] = {}
+
+
+def episode_uniforms(seed: int, replications: int, m: int) -> np.ndarray:
+    """Read-only (replications, m) matrix whose row r is episode_rng(seed, r).random(m).
+
+    PCG64 gives the same doubles to one random(m) call as to m scalar draws,
+    so column t is what step t of each replication consumes. The last matrix
+    is kept, at the widest horizon asked for under its (seed, replications),
+    so the policies of one CLI row and the horizons of a buyer sweep share
+    its draws; a wider horizon draws it afresh.
+    """
+    key = (int(seed), int(replications))
+    draws = _uniforms.get(key)
+    if draws is None or draws.shape[1] < m:
+        draws = np.empty((replications, m))
+        for rep in range(replications):
+            draws[rep] = episode_rng(seed, rep).random(m)
+        draws.setflags(write=False)
+        _uniforms.clear()
+        _uniforms[key] = draws
+    return draws[:, :m]
+
+
+class _OutcomeTable:
+    """Assortment bitmask -> cumulative demands, members and prices, one row each.
+
+    Rows are filled through ``equilibrium_outcome`` the first time a mask is
+    offered, and the arrays double when full. Column k holds the k-th member
+    of the assortment and the demand summed up to it in the order
+    ``sample_choice`` sums it; the columns after the last member hold the
+    no-purchase sentinel: cumulative demand +inf, item n and price 0.0.
+    """
+
+    def __init__(self, catalog: ItemCatalog):
+        n = len(catalog)
+        self.catalog = catalog
+        # mask -> row, -1 if unseen: 4 MB at the LP's 20-item cap, which
+        # estimate_ratio enforces before any episode runs.
+        self.slot = np.full(1 << n, -1, dtype=np.int32)
+        self.rows = 0
+        self.cum = np.empty((4, n + 1))
+        self.members = np.empty((4, n + 1), dtype=np.int64)
+        self.prices = np.empty((4, n + 1))
+
+    def lookup(self, masks: np.ndarray) -> np.ndarray:
+        rows = self.slot[masks]
+        if rows.min() < 0:
+            for mask in np.unique(masks[rows < 0]).tolist():
+                self._add(mask)
+            rows = self.slot[masks]
+        return rows
+
+    def _add(self, mask: int) -> None:
+        if self.rows == len(self.cum):
+            self.cum, self.members, self.prices = (
+                np.concatenate([a, np.empty_like(a)]) for a in (self.cum, self.members, self.prices)
+            )
+        n = len(self.catalog)
+        out = equilibrium_outcome(self.catalog, tuple(i for i in range(n) if mask >> i & 1))
+        acc = 0.0
+        cum = []
+        for q in out.demands:
+            acc += q
+            cum.append(acc)
+        k, row = len(cum), self.rows
+        self.cum[row] = cum + [math.inf] * (n + 1 - k)
+        self.members[row] = list(out.members) + [n] * (n + 1 - k)
+        self.prices[row] = list(out.prices) + [0.0] * (n + 1 - k)
+        self.slot[mask] = row
+        self.rows += 1
+
+
+# Vectorised forms of the POLICIES rules. Each builds, for one instance, a
+# function from the (R, n) stock matrix to the R offered assortments as
+# bitmasks (bit i = catalog position i), deciding exactly as the scalar rule.
+
+def _greedy_masks(instance: OnlineInstance) -> Callable[[np.ndarray], np.ndarray]:
+    bits = np.left_shift(1, np.arange(len(instance.catalog), dtype=np.int64))
+
+    def decide(stock: np.ndarray) -> np.ndarray:
+        return (stock > 0) @ bits
+
+    return decide
+
+
+def _hybrid_masks(instance: OnlineInstance) -> Callable[[np.ndarray], np.ndarray]:
+    n = len(instance.catalog)
+    in_stock = _greedy_masks(instance)
+    heavy = sum(1 << i for i in classify_heavy(instance.catalog, instance.threshold))
+    light = ((1 << n) - 1) ^ heavy
+
+    def decide(stock: np.ndarray) -> np.ndarray:
+        offered = in_stock(stock)
+        first = offered & heavy
+        first &= -first  # lowest set bit: heavy items are a prefix in quality order
+        return np.where(first != 0, first, offered & light)
+
+    return decide
+
+
+def _modified_masks(instance: OnlineInstance) -> Callable[[np.ndarray], np.ndarray]:
+    """Relative heaviness is read from weight[i, c_i - remaining_i].
+
+    The table holds exponential_weight(remaining / c_i) * q_i({i}) from the
+    scalar functions where that reaches the threshold, else -inf (also for a
+    sold-out item); argmax then takes the first maximum as the scalar rule's
+    strict comparison does.
+    """
+    catalog = instance.catalog
+    n, caps = len(catalog), catalog.inventories
+    demands = solo_demands(catalog)
+    depth = min(max(caps), instance.m) + 1  # units an episode can sell, plus one
+    weight = np.full((n, depth), -np.inf)
+    for i in range(n):
+        for sold in range(min(caps[i], depth)):
+            rel = exponential_weight((caps[i] - sold) / caps[i]) * demands[i]
+            if rel >= instance.threshold:
+                weight[i, sold] = rel
+    base = np.arange(n, dtype=np.int64) * depth + np.asarray(caps, dtype=np.int64)
+    bits = np.left_shift(1, np.arange(n, dtype=np.int64))
+    in_stock = _greedy_masks(instance)
+
+    def decide(stock: np.ndarray) -> np.ndarray:
+        rel = np.take(weight, base - stock)
+        best = rel.argmax(axis=1)
+        return np.where(rel.max(axis=1) > -np.inf, bits[best], in_stock(stock))
+
+    return decide
+
+
+_MASK_RULES = {"hybrid": _hybrid_masks, "greedy": _greedy_masks, "modified": _modified_masks}
+
+
+def _lockstep_revenues(name: str, instance: OnlineInstance, replications: int,
+                      seed: int) -> np.ndarray:
+    """Revenue of replications 0..R-1 of a named policy, all played together.
+
+    Element r equals run_episode(POLICIES[name], instance, episode_rng(seed, r)).revenue
+    bit for bit: the decisions are the scalar rules, each buyer picks the
+    first member whose cumulative demand exceeds its uniform, and revenue
+    adds the sale price (0.0 for no purchase) in step order.
+    """
+    catalog = instance.catalog
+    n = len(catalog)
+    revenue = np.zeros(replications)
+    if instance.m == 0:
+        return revenue
+    decide = _MASK_RULES[name](instance)
+    table = _OutcomeTable(catalog)
+    draws = episode_uniforms(seed, replications, instance.m)
+    # Column n is where no-purchase draws take their unit from; it is never read.
+    stock_all = np.zeros((replications, n + 1), dtype=np.int64)
+    stock_all[:, :n] = catalog.inventories
+    stock, stock_flat = stock_all[:, :n], stock_all.reshape(-1)
+    row_start = np.arange(replications, dtype=np.int64) * (n + 1)
+    for t in range(instance.m):
+        rows = table.lookup(decide(stock))
+        pick = (draws[:, t, None] < np.take(table.cum, rows, axis=0)).argmax(axis=1)
+        cell = rows * (n + 1) + pick
+        revenue += np.take(table.prices, cell)
+        stock_flat[row_start + np.take(table.members, cell)] -= 1
+    return revenue
 
 
 def estimate_ratio(
@@ -172,9 +339,12 @@ def estimate_ratio(
 ) -> RatioEstimate:
     """Mean episode revenue over independent replications, divided by OPT.
 
-    Replication r always uses the (seed, r) stream, so the estimate is
-    identical for any worker count; parallel workers only split the index
-    range.
+    Replication r always uses the (seed, r) stream. A named policy, or one of
+    the ``POLICIES`` callables, runs all replications in lockstep in this
+    process; any other callable runs ``run_episode`` once per replication.
+    Both give the same revenues, bit for bit. ``workers`` is accepted and has
+    no effect. The LP optimum is solved first, so a catalog beyond its
+    20-item cap is rejected before any episode runs.
     """
     if replications < 1:
         raise DomainError("need at least one replication")
@@ -185,26 +355,16 @@ def estimate_ratio(
     else:
         matches = [k for k, v in POLICIES.items() if v is policy]
         name = matches[0] if matches else None
-    if name is not None and workers > 1:
-        bounds = np.linspace(0, replications, workers + 1).astype(int)
-        revenues: list[float] = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            jobs = [
-                pool.submit(_revenue_block, name, instance, seed, int(lo), int(hi))
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-            ]
-            for job in jobs:
-                revenues.extend(job.result())
+    opt = solve_opt(instance.catalog, instance.m).objective if instance.m >= 1 else 0.0
+    if name is not None:
+        arr = _lockstep_revenues(name, instance, replications, seed)
     else:
-        fn = POLICIES[name] if name is not None else policy
-        revenues = [
-            run_episode(fn, instance, episode_rng(seed, rep), record_path=False).revenue
+        arr = np.array([
+            run_episode(policy, instance, episode_rng(seed, rep), record_path=False).revenue
             for rep in range(replications)
-        ]
-    arr = np.asarray(revenues)
+        ])
     mean = float(arr.mean())
     se = float(arr.std(ddof=1) / math.sqrt(replications)) if replications > 1 else 0.0
-    opt = solve_opt(instance.catalog, instance.m).objective if instance.m >= 1 else 0.0
     ratio = mean / opt if opt > 0 else math.nan
     return RatioEstimate(mean_revenue=mean, std_error=se, opt=opt,
                          ratio=ratio, replications=replications)

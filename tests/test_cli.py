@@ -130,6 +130,13 @@ class TestSimulateCommand:
         capsys.readouterr()
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_nonpositive_workers_exit_2(self, tmp_path, capsys):
+        cfg = self.make_config(tmp_path)
+        for workers in ("0", "-1"):
+            code, out, err = run(["simulate", "--config", cfg, "--workers", workers], capsys)
+            assert code == 2 and out == ""
+            assert "--workers must be >= 1" in err
+
     def test_unknown_policy_exits_2(self, tmp_path, capsys):
         cfg = self.make_config(tmp_path, policy="oracle")
         code, _, _ = run(["simulate", "--config", cfg], capsys)

@@ -1,24 +1,28 @@
 """Tests for the Monte-Carlo harness, the ratio bound curve, and the
 adversarial instance generator."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from mnlmarkets.equilibrium import DomainError, ItemCatalog, equilibrium_outcome
-from mnlmarkets.policies import OnlineInstance
+from mnlmarkets.policies import InventoryState, OnlineInstance, hybrid_next, solo_demands
 from mnlmarkets.simulate import (
     POLICIES,
     adversarial_instance,
     always_offer_ratio,
     episode_rng,
+    episode_uniforms,
     estimate_ratio,
     hybrid_ratio_bound,
     run_episode,
     sample_choice,
     threshold_headroom,
     _bound_closed_branch,
+    _MASK_RULES,
+    _lockstep_revenues,
 )
 
 E = math.e
@@ -160,6 +164,143 @@ class TestEstimateRatio:
         inst = OnlineInstance(cat, m=1, threshold=0.5)
         with pytest.raises(DomainError):
             estimate_ratio("clairvoyant", inst, replications=1, seed=0)
+
+
+def scalar_revenues(name, inst, replications, seed):
+    """The reference: one run_episode per replication."""
+    return [
+        run_episode(POLICIES[name], inst, episode_rng(seed, rep), record_path=False).revenue
+        for rep in range(replications)
+    ]
+
+
+def assert_lockstep_matches(inst, replications, seed):
+    for name in POLICIES:
+        got = _lockstep_revenues(name, inst, replications, seed)
+        assert got.tolist() == scalar_revenues(name, inst, replications, seed), name
+
+
+SWEEP_CATALOG = ItemCatalog([3.0, 2.5, 2.0, 1.5, 1.0, 0.5, -0.5, -1.0, -1.5, -2.0], [15] * 10)
+BALANCING_CATALOG = ItemCatalog(
+    [2.1, 2.0, 2.0, 2.0, 2.0, 0.5, -0.5, -1.0, -1.5, -2.0], [20] * 5 + [5] * 5
+)
+
+
+class TestLockstepBitIdentity:
+    """Lockstep revenues equal run_episode's exactly, replication by replication."""
+
+    def test_policy_corpus(self):
+        # Built as the statistical criteria build their corpus.
+        rng = np.random.default_rng(42)
+        for i in range(50):
+            n = int(rng.integers(1, 7))
+            cat = ItemCatalog(rng.uniform(-2.0, 3.5, n), rng.integers(1, 9, n))
+            m = int(rng.integers(5, 51))
+            for threshold in (0.5, 0.63):
+                assert_lockstep_matches(OnlineInstance(cat, m, threshold), 30, 900 + i)
+
+    @pytest.mark.parametrize("catalog", [SWEEP_CATALOG, BALANCING_CATALOG], ids=["sweep", "balancing"])
+    def test_criterion_seven_catalogs_at_500_buyers(self, catalog):
+        assert_lockstep_matches(OnlineInstance(catalog, 500, 0.5), 25, 7)
+
+    def test_zero_buyers(self):
+        inst = OnlineInstance(ItemCatalog([2.0, 0.5], [1, 1]), m=0, threshold=0.5)
+        for name in POLICIES:
+            assert _lockstep_revenues(name, inst, 5, 0).tolist() == [0.0] * 5
+
+    def test_single_unit_item(self):
+        assert_lockstep_matches(OnlineInstance(ItemCatalog([2.0], [1]), 10, 0.5), 60, 1)
+
+    def test_every_item_heavy(self):
+        cat = ItemCatalog([3.5, 3.0, 2.8], [2, 3, 1])
+        assert all(q >= 0.5 for q in solo_demands(cat))
+        assert_lockstep_matches(OnlineInstance(cat, 20, 0.5), 60, 2)
+
+    def test_no_item_heavy(self):
+        cat = ItemCatalog([1.0, 0.0, -1.0, -2.0], [2, 2, 3, 1])
+        assert all(q < 0.5 for q in solo_demands(cat))
+        assert_lockstep_matches(OnlineInstance(cat, 20, 0.5), 60, 3)
+
+    def test_decisions_match_scalar_rules(self):
+        # Every stock state of a catalog with tied items: equal items tie in
+        # relative heaviness at equal stock, and the rules take the lowest
+        # position.
+        cat = ItemCatalog([3.0, 3.0, 2.0, 2.0, 0.5], [3, 3, 2, 2, 1])
+        states = np.array(list(itertools.product(*(range(c + 1) for c in cat.inventories))))
+        for threshold in (0.5, 0.55, 0.63):
+            inst = OnlineInstance(cat, 20, threshold)
+            for name, policy in POLICIES.items():
+                masks = _MASK_RULES[name](inst)(states)
+                for stock, mask in zip(states.tolist(), masks.tolist()):
+                    offered = policy(inst, InventoryState(remaining=stock)).assortment
+                    assert mask == sum(1 << i for i in offered), (name, threshold, stock)
+
+    def test_threshold_near_one(self):
+        cat = ItemCatalog([6.0, 2.5, 1.0], [3, 2, 2])
+        assert_lockstep_matches(OnlineInstance(cat, 20, 0.99), 60, 4)
+
+    def test_inventory_beyond_buyers(self):
+        cat = ItemCatalog([2.5, 2.0, 0.0], [40, 1000, 7])
+        assert_lockstep_matches(OnlineInstance(cat, 25, 0.5), 60, 5)
+
+    def test_estimate_equals_per_episode_path(self):
+        # A callable outside POLICIES takes the run_episode path.
+        inst = OnlineInstance(ItemCatalog([2.0, 1.0, 0.5], [2, 2, 3]), 15, 0.5)
+        by_name = estimate_ratio("hybrid", inst, replications=80, seed=12)
+        by_episode = estimate_ratio(lambda i, s: hybrid_next(i, s), inst, replications=80, seed=12)
+        assert by_name == by_episode
+
+    def test_oversized_catalog_rejected_before_episodes(self):
+        cat = ItemCatalog(np.linspace(2.0, -2.0, 21), [1] * 21)
+        with pytest.raises(DomainError, match="capped at 20 items"):
+            estimate_ratio("greedy", OnlineInstance(cat, 5, 0.5), replications=3, seed=0)
+
+    def test_hypothesis_property(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+        @hypothesis.given(
+            qualities=st.lists(st.floats(-3.0, 4.0), min_size=1, max_size=6),
+            stock=st.lists(st.integers(1, 12), min_size=6, max_size=6),
+            m=st.integers(0, 60),
+            replications=st.integers(1, 40),
+            threshold=st.floats(0.5, 0.99),
+            seed=st.integers(0, 2**31),
+        )
+        def check(qualities, stock, m, replications, threshold, seed):
+            cat = ItemCatalog(qualities, stock[: len(qualities)])
+            assert_lockstep_matches(OnlineInstance(cat, m, threshold), replications, seed)
+
+        check()
+
+
+class TestEpisodeUniforms:
+    def test_one_call_equals_scalar_draws(self):
+        for seed, rep, m in ((0, 0, 1), (5, 17, 64), (2**31, 3, 500)):
+            scalar = episode_rng(seed, rep)
+            assert episode_rng(seed, rep).random(m).tolist() == [scalar.random() for _ in range(m)]
+
+    def test_rows_are_the_replication_streams(self):
+        draws = episode_uniforms(31, 7, 40)
+        assert draws.shape == (7, 40)
+        for rep in range(7):
+            assert draws[rep].tolist() == episode_rng(31, rep).random(40).tolist()
+
+    def test_shorter_horizon_is_a_slice_of_the_memo(self):
+        wide = episode_uniforms(44, 9, 500)
+        narrow = episode_uniforms(44, 9, 100)
+        assert np.shares_memory(wide, narrow)
+        fresh = np.stack([episode_rng(44, rep).random(100) for rep in range(9)])
+        assert np.array_equal(narrow, fresh)
+
+    def test_memo_is_read_only(self):
+        draws = episode_uniforms(45, 4, 30)
+        assert not draws.flags.writeable
+        with pytest.raises(ValueError):
+            draws[0, 0] = 0.5
+        with pytest.raises(ValueError):
+            draws.setflags(write=True)
 
 
 class TestRatioBound:
