@@ -152,9 +152,9 @@ def cmd_opt(args) -> int:
         sol = solve_opt_fixed_rev(catalog, args.buyers, [r[orig] for orig in catalog.order])
     else:
         sol = solve_opt(catalog, args.buyers)
-    columns = enumerate_columns(catalog).columns
+    columns = enumerate_columns(catalog)
     support = [
-        {"items": [catalog.order[i] for i in columns[j].members], "mass": z}
+        {"items": [catalog.order[i] for i in columns.members(j)], "mass": z}
         for j, z in enumerate(sol.masses)
         if z > 1e-12
     ]

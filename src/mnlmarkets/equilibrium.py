@@ -215,8 +215,8 @@ def solve_no_purchase(catalog: ItemCatalog, members: Iterable[int]) -> float:
     return _no_purchase_root([catalog.qualities[i] for i in members])
 
 
-@lru_cache(maxsize=100_000)
-def _outcome_cached(catalog: ItemCatalog, members: tuple[int, ...]) -> EquilibriumOutcome:
+def _solve_outcome(catalog: ItemCatalog, members: tuple[int, ...]) -> EquilibriumOutcome:
+    """Uncached equilibrium of a validated assortment (sorted distinct positions)."""
     if not members:
         return EquilibriumOutcome(members=(), q0=1.0, demands=(), prices=(),
                                   revenues=(), total_revenue=0.0)
@@ -228,6 +228,9 @@ def _outcome_cached(catalog: ItemCatalog, members: tuple[int, ...]) -> Equilibri
     return EquilibriumOutcome(members=members, q0=q0, demands=demands,
                               prices=prices, revenues=revenues,
                               total_revenue=sum(revenues))
+
+
+_outcome_cached = lru_cache(maxsize=100_000)(_solve_outcome)
 
 
 def equilibrium_outcome(catalog: ItemCatalog, members: Iterable[int]) -> EquilibriumOutcome:

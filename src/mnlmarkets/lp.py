@@ -14,19 +14,25 @@ whose optimum upper-bounds the expected revenue of any policy that knows the
 buyer count and inventories but not the realized choices. A fixed-revenue
 variant replaces R(S) by sum_i r_i q_i(S).
 
+The columns of a catalog are stored as one (n, 2^n - 1) demand matrix and
+one revenue vector, in bitmask order, filled by the scalar equilibrium
+solver: the LP, the CLI and the lockstep simulation engine all read these
+arrays, and ``ColumnSet.columns`` builds a Column record only when one is
+indexed.
+
 The LP is solved by a dense-tableau simplex with Bland's anti-cycling rule;
 scales here are tiny (n + 1 rows), so determinism beats speed.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
-from .equilibrium import DomainError, ItemCatalog, SolverError, equilibrium_outcome
+from .equilibrium import DomainError, ItemCatalog, SolverError, _solve_outcome
 
 _MAX_COLUMNS_EXPONENT = 20
 _PIVOT_TOL = 1e-9
@@ -41,25 +47,71 @@ class Column:
     revenue: float
 
     def fixed_revenue(self, r: Sequence[float]) -> float:
-        """Column value when item i pays a constant r_i per sale."""
-        return sum(r[i] * q for i, q in zip(self.members, self.demands))
+        """Column value when item i pays a constant r_i per sale.
+
+        Adds r_i * q_i in member order from 0.0, the order in which
+        solve_opt_fixed_rev sums the same values over whole arrays.
+        """
+        total = 0.0
+        for i, q in zip(self.members, self.demands):
+            total += r[i] * q
+        return total
 
 
-@dataclass(frozen=True)
+class _ColumnView(Sequence):
+    """Read-only sequence of the Column records of a ColumnSet, each built on access."""
+
+    def __init__(self, columns: ColumnSet):
+        self._columns = columns
+
+    def __len__(self) -> int:
+        return self._columns.revenues.size
+
+    def __getitem__(self, j: int) -> Column:
+        j = range(len(self))[j]  # bounds-checked; negative indices count from the end
+        cols = self._columns
+        members = cols.members(j)
+        return Column(members=members, demands=tuple(cols.demands[members, j].tolist()),
+                      revenue=float(cols.revenues[j]))
+
+
+@dataclass(frozen=True, eq=False)
 class ColumnSet:
-    """All 2^n - 1 nonempty assortment columns of a catalog."""
+    """All 2^n - 1 nonempty assortment columns of a catalog, as two arrays.
+
+    Column j is the assortment whose bitmask is j + 1 (bit i = catalog
+    position i). ``demands`` is the (n, 2^n - 1) matrix of q_i(S), exactly
+    0.0 off the members of S, and ``revenues`` holds R(S); both are made
+    read-only, because enumerate_columns hands the same set to every caller.
+    """
 
     catalog: ItemCatalog
-    columns: tuple[Column, ...]
+    demands: np.ndarray
+    revenues: np.ndarray
+
+    def __post_init__(self):
+        for name in ("demands", "revenues"):
+            array = np.asarray(getattr(self, name), dtype=float)
+            array.setflags(write=False)
+            # A view of a read-only array cannot be made writable again.
+            object.__setattr__(self, name, array[...])
+        k = (1 << len(self.catalog)) - 1
+        if self.demands.shape != (len(self.catalog), k) or self.revenues.shape != (k,):
+            raise DomainError("column arrays must be (n, 2^n - 1) demands and 2^n - 1 revenues")
+
+    def members(self, j: int) -> tuple[int, ...]:
+        """Sorted catalog positions of column j, decoded from bitmask j + 1."""
+        mask = j + 1
+        return tuple(i for i in range(len(self.catalog)) if mask >> i & 1)
+
+    @property
+    def columns(self) -> Sequence[Column]:
+        """The columns as Column records, built one at a time on access."""
+        return _ColumnView(self)
 
     def demand_matrix(self) -> np.ndarray:
-        """Dense (n, 2^n - 1) matrix of q_i(S) by column."""
-        n = len(self.catalog)
-        a = np.zeros((n, len(self.columns)))
-        for j, col in enumerate(self.columns):
-            for i, q in zip(col.members, col.demands):
-                a[i, j] = q
-        return a
+        """The stored read-only (n, 2^n - 1) matrix of q_i(S) by column."""
+        return self.demands
 
 
 @dataclass(frozen=True)
@@ -140,30 +192,33 @@ def simplex_solve(rows: np.ndarray, rhs: np.ndarray, objective: np.ndarray) -> S
 
 @lru_cache(maxsize=32)
 def enumerate_columns(catalog: ItemCatalog) -> ColumnSet:
-    """Materialize every nonempty assortment as an LP column.
+    """Solve every nonempty assortment and store it as an LP column.
 
     Capped at 20 items (about a million columns) to bound memory. Columns
     are ordered by subset bitmask, which fixes the LP column order and hence
-    the reported masses.
+    the reported masses. Each column comes from the scalar equilibrium
+    solver without passing through the per-assortment outcome cache, so the
+    arrays are the only copy of the 2^n - 1 outcomes.
     """
     n = len(catalog)
     if n > _MAX_COLUMNS_EXPONENT:
         raise DomainError(f"column enumeration capped at {_MAX_COLUMNS_EXPONENT} items")
-    columns = []
+    demands = np.zeros((n, (1 << n) - 1))
+    revenues = np.empty((1 << n) - 1)
     for mask in range(1, 1 << n):
         members = tuple(i for i in range(n) if mask >> i & 1)
-        out = equilibrium_outcome(catalog, members)
-        columns.append(Column(members=members, demands=out.demands, revenue=out.total_revenue))
-    return ColumnSet(catalog=catalog, columns=tuple(columns))
+        out = _solve_outcome(catalog, members)
+        demands[members, mask - 1] = out.demands
+        revenues[mask - 1] = out.total_revenue
+    return ColumnSet(catalog=catalog, demands=demands, revenues=revenues)
 
 
-def _solve_columns(catalog: ItemCatalog, m: int, values: np.ndarray) -> LpSolution:
+def _solve_columns(cols: ColumnSet, m: int, values: np.ndarray) -> LpSolution:
     if m < 1:
         raise DomainError(f"buyer count must be >= 1, got {m}")
-    cols = enumerate_columns(catalog)
     a = cols.demand_matrix()
     rows = np.vstack([a, np.ones((1, a.shape[1]))])
-    rhs = np.array(list(catalog.inventories) + [float(m)], dtype=float)
+    rhs = np.array(list(cols.catalog.inventories) + [float(m)], dtype=float)
     res = simplex_solve(rows, rhs, values)
     return LpSolution(
         objective=res.objective,
@@ -175,13 +230,22 @@ def _solve_columns(catalog: ItemCatalog, m: int, values: np.ndarray) -> LpSoluti
 
 def solve_opt(catalog: ItemCatalog, m: int) -> LpSolution:
     """Optimal clairvoyant value for m identical buyers."""
-    values = np.array([c.revenue for c in enumerate_columns(catalog).columns])
-    return _solve_columns(catalog, m, values)
+    cols = enumerate_columns(catalog)
+    return _solve_columns(cols, m, cols.revenues)
 
 
 def solve_opt_fixed_rev(catalog: ItemCatalog, m: int, r: Sequence[float]) -> LpSolution:
-    """Clairvoyant value when item i earns a constant r_i per sale."""
+    """Clairvoyant value when item i earns a constant r_i per sale.
+
+    Column values add r_i * q_i(S) over the members of S in position order
+    from 0.0, exactly as Column.fixed_revenue does.
+    """
     if len(r) != len(catalog):
         raise DomainError("fixed revenue vector must have one entry per item")
-    values = np.array([c.fixed_revenue(r) for c in enumerate_columns(catalog).columns])
-    return _solve_columns(catalog, m, values)
+    cols = enumerate_columns(catalog)
+    masks = np.arange(1, cols.revenues.size + 1)
+    values = np.zeros(cols.revenues.size)
+    for i, r_i in enumerate(r):
+        holds = (masks >> i & 1).astype(bool)
+        values[holds] += float(r_i) * cols.demands[i, holds]
+    return _solve_columns(cols, m, values)

@@ -13,9 +13,9 @@ of replication r always sees the t-th double of that stream.
 
 ``estimate_ratio`` plays the replications of a named policy in lockstep in
 one process: step t decides an assortment bitmask for every replication at
-once, looks its cumulative demands and prices up in a table filled through
-``equilibrium_outcome``, and draws each buyer from column t of the
-replications' uniforms. Revenues are bit-identical to ``run_episode``, which
+once, looks its cumulative demands and prices up in a table filled from the
+LP columns that ``solve_opt`` has already solved, and draws each buyer from
+column t of the replications' uniforms. Revenues are bit-identical to ``run_episode``, which
 remains the path for custom policies and recorded paths.
 """
 
@@ -30,12 +30,11 @@ import numpy as np
 from .equilibrium import (
     DomainError,
     EquilibriumOutcome,
-    ItemCatalog,
     equilibrium_outcome,
     quality_for_target_revenue,
     solo_revenue_for_quality,
 )
-from .lp import solve_opt
+from .lp import ColumnSet, enumerate_columns, solve_opt
 from .policies import (
     InventoryState,
     OnlineInstance,
@@ -192,16 +191,18 @@ def episode_uniforms(seed: int, replications: int, m: int) -> np.ndarray:
 class _OutcomeTable:
     """Assortment bitmask -> cumulative demands, members and prices, one row each.
 
-    Rows are filled through ``equilibrium_outcome`` the first time a mask is
+    Rows are filled from the catalog's LP columns the first time a mask is
     offered, and the arrays double when full. Column k holds the k-th member
-    of the assortment and the demand summed up to it in the order
-    ``sample_choice`` sums it; the columns after the last member hold the
-    no-purchase sentinel: cumulative demand +inf, item n and price 0.0.
+    of the assortment, the demand summed up to it in the order
+    ``sample_choice`` sums it, and its price 1/(1 - q) as
+    ``equilibrium_outcome`` computes it; the columns after the last member
+    hold the no-purchase sentinel: cumulative demand +inf, item n and price
+    0.0. Mask 0, the empty assortment, is all sentinel.
     """
 
-    def __init__(self, catalog: ItemCatalog):
-        n = len(catalog)
-        self.catalog = catalog
+    def __init__(self, columns: ColumnSet):
+        n = len(columns.catalog)
+        self.columns = columns
         # mask -> row, -1 if unseen: 4 MB at the LP's 20-item cap, which
         # estimate_ratio enforces before any episode runs.
         self.slot = np.full(1 << n, -1, dtype=np.int32)
@@ -223,17 +224,18 @@ class _OutcomeTable:
             self.cum, self.members, self.prices = (
                 np.concatenate([a, np.empty_like(a)]) for a in (self.cum, self.members, self.prices)
             )
-        n = len(self.catalog)
-        out = equilibrium_outcome(self.catalog, tuple(i for i in range(n) if mask >> i & 1))
+        n = len(self.columns.catalog)
+        members = self.columns.members(mask - 1)  # mask 0 decodes to no members
+        demands = self.columns.demands[members, mask - 1].tolist()
         acc = 0.0
         cum = []
-        for q in out.demands:
+        for q in demands:
             acc += q
             cum.append(acc)
         k, row = len(cum), self.rows
         self.cum[row] = cum + [math.inf] * (n + 1 - k)
-        self.members[row] = list(out.members) + [n] * (n + 1 - k)
-        self.prices[row] = list(out.prices) + [0.0] * (n + 1 - k)
+        self.members[row] = list(members) + [n] * (n + 1 - k)
+        self.prices[row] = [1.0 / (1.0 - q) for q in demands] + [0.0] * (n + 1 - k)
         self.slot[mask] = row
         self.rows += 1
 
@@ -314,7 +316,7 @@ def _lockstep_revenues(name: str, instance: OnlineInstance, replications: int,
     if instance.m == 0:
         return revenue
     decide = _MASK_RULES[name](instance)
-    table = _OutcomeTable(catalog)
+    table = _OutcomeTable(enumerate_columns(catalog))
     draws = episode_uniforms(seed, replications, instance.m)
     # Column n is where no-purchase draws take their unit from; it is never read.
     stock_all = np.zeros((replications, n + 1), dtype=np.int64)

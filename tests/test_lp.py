@@ -1,11 +1,19 @@
 """Tests for the clairvoyant LP benchmark and the internal simplex."""
 
+import gc
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from mnlmarkets.equilibrium import DomainError, ItemCatalog, SolverError, equilibrium_outcome
+from mnlmarkets.equilibrium import (
+    DomainError,
+    ItemCatalog,
+    SolverError,
+    _outcome_cached,
+    equilibrium_outcome,
+)
 from mnlmarkets.lp import (
     enumerate_columns,
     simplex_solve,
@@ -114,6 +122,97 @@ class TestColumns:
     def test_cap(self):
         with pytest.raises(DomainError):
             enumerate_columns(ItemCatalog([0.0] * 21, [1] * 21))
+
+
+def assert_columns_equal_outcomes(cat):
+    """Column j of the arrays is equilibrium_outcome of mask j + 1, bit for bit."""
+    cols = enumerate_columns(cat)
+    n = len(cat)
+    assert cols.demands.shape == (n, (1 << n) - 1)
+    assert cols.revenues.shape == ((1 << n) - 1,)
+    for mask in range(1, 1 << n):
+        members = tuple(i for i in range(n) if mask >> i & 1)
+        out = equilibrium_outcome(cat, members)
+        want = [0.0] * n
+        for i, q in zip(members, out.demands):
+            want[i] = q
+        assert cols.members(mask - 1) == members
+        assert cols.demands[:, mask - 1].tolist() == want
+        assert cols.revenues[mask - 1] == out.total_revenue
+        col = cols.columns[mask - 1]
+        assert (col.members, col.demands, col.revenue) == (members, out.demands, out.total_revenue)
+
+
+class TestColumnArrays:
+    def test_twelve_items_match_equilibrium(self):
+        assert_columns_equal_outcomes(ItemCatalog(np.linspace(3.3, -1.9, 12), range(1, 13)))
+
+    def test_hypothesis_catalogs_match_equilibrium(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
+        @hypothesis.given(qualities=st.lists(st.floats(-4.0, 6.0), min_size=1, max_size=8))
+        def check(qualities):
+            assert_columns_equal_outcomes(ItemCatalog(qualities, [1] * len(qualities)))
+
+        check()
+
+    def test_fixed_revenue_values_equal_column_records(self):
+        rng = np.random.default_rng(61)
+        for n in (1, 3, 5, 7):
+            cat = ItemCatalog(rng.uniform(-2.0, 3.0, n), rng.integers(1, 6, n))
+            cols = enumerate_columns(cat)
+            r = rng.uniform(-1.0, 3.0, n).tolist()
+            r[0] = 0.0
+            sol = solve_opt_fixed_rev(cat, 17, r)
+            rows = np.vstack([cols.demand_matrix(), np.ones((1, len(cols.columns)))])
+            rhs = np.array(list(cat.inventories) + [17.0])
+            ref = simplex_solve(rows, rhs, np.array([c.fixed_revenue(r) for c in cols.columns]))
+            assert sol.objective == ref.objective
+            assert sol.masses == tuple(ref.x.tolist())
+
+    def test_arrays_reject_writes(self):
+        cols = enumerate_columns(ItemCatalog([1.0, 0.5, -0.5], [1, 2, 3]))
+        assert cols.demand_matrix() is cols.demands
+        with pytest.raises(ValueError):
+            cols.demands[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            cols.revenues[0] = 1.0
+        with pytest.raises(ValueError):
+            cols.demands.setflags(write=True)
+
+    def test_column_view(self):
+        cols = enumerate_columns(ItemCatalog([1.5, 1.0, 0.5], [1, 1, 1]))
+        view = cols.columns
+        assert len(view) == 7
+        assert view[-1] == view[6] and view[6].members == (0, 1, 2)
+        assert [c.members for c in view][:3] == [(0,), (1,), (0, 1)]
+        with pytest.raises(IndexError):
+            view[7]
+
+    def test_enumeration_leaves_outcome_cache_alone(self):
+        before = _outcome_cached.cache_info().currsize
+        enumerate_columns(ItemCatalog([2.71, 1.41, 0.57, -0.3, -1.2], [1, 1, 1, 1, 1]))
+        assert _outcome_cached.cache_info().currsize == before
+
+    def test_enumeration_keeps_under_256_bytes_per_column(self):
+        # 256 bytes a column is 1 MB at 12 items. The arrays hold n + 1
+        # doubles a column (90 bytes here); one Column record and one cached
+        # outcome per mask kept about 1.2 kB. Ten items keep the traced run
+        # short: tracing slows the scalar solves several times over.
+        cat = ItemCatalog(np.linspace(2.9, -2.3, 10), [2] * 10)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            cols = enumerate_columns(cat)
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(cols.columns) == 1023
+        assert kept <= 256 * 1023, f"enumeration kept {kept} bytes"
 
 
 class TestSolveOpt:

@@ -14,6 +14,7 @@ from mnlmarkets.equilibrium import (
 )
 from mnlmarkets.network import (
     BipartiteMarket,
+    _sigmoid,
     check_consistency,
     network_demand,
     seller_best_response,
@@ -163,6 +164,26 @@ class TestBestResponse:
             [[2.0], [1.0]], visibility=[[True], [False]], capacities=[1, 1]
         )
         assert seller_best_response(mkt, [1.0, 1.0], 1) == 0.0
+
+    def test_sigmoid_matches_split_form_bit_for_bit(self):
+        # Reference: the two-branch form that gathers each sign separately.
+        def split_sigmoid(z):
+            out = np.empty_like(z)
+            pos = z >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+            ez = np.exp(z[~pos])
+            out[~pos] = ez / (1.0 + ez)
+            return out
+
+        rng = np.random.default_rng(151)
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, 745.2, -745.2, 800.0, -800.0, 1e-300]
+        for z in (rng.normal(0.0, 8.0, 200_001), rng.uniform(-750.0, 750.0, 4097),
+                  np.array(special)):
+            got, want = _sigmoid(z), split_sigmoid(z)
+            # Bytes equal, sign of zero included; a NaN may differ only in its sign bit.
+            nan = np.isnan(want)
+            assert np.array_equal(np.isnan(got), nan)
+            assert got[~nan].tobytes() == want[~nan].tobytes()
 
     def test_demand_monotone_in_own_price(self):
         mkt = BipartiteMarket([[2.0, 1.0], [1.5, 0.5]], capacities=[1, 1])

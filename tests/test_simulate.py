@@ -22,8 +22,10 @@ from mnlmarkets.simulate import (
     threshold_headroom,
     _bound_closed_branch,
     _MASK_RULES,
+    _OutcomeTable,
     _lockstep_revenues,
 )
+from mnlmarkets.lp import enumerate_columns
 
 E = math.e
 
@@ -273,6 +275,28 @@ class TestLockstepBitIdentity:
             assert_lockstep_matches(OnlineInstance(cat, m, threshold), replications, seed)
 
         check()
+
+
+class TestOutcomeTable:
+    def test_rows_equal_equilibrium_outcomes(self):
+        # Every mask of a 6-item catalog, in an order that makes the arrays
+        # double several times; mask 0 is the all-sentinel row.
+        cat = ItemCatalog([3.1, 2.2, 1.0, 0.4, -0.7, -1.9], [1, 2, 3, 4, 5, 6])
+        n = len(cat)
+        table = _OutcomeTable(enumerate_columns(cat))
+        masks = np.arange(1 << n, dtype=np.int64)[::-1]
+        rows = table.lookup(masks)
+        assert table.rows == 1 << n
+        for mask, row in zip(masks.tolist(), rows.tolist()):
+            out = equilibrium_outcome(cat, [i for i in range(n) if mask >> i & 1])
+            cum, acc = [], 0.0
+            for q in out.demands:
+                acc += q
+                cum.append(acc)
+            pad = n + 1 - len(out.members)
+            assert table.cum[row].tolist() == cum + [math.inf] * pad
+            assert table.members[row].tolist() == list(out.members) + [n] * pad
+            assert table.prices[row].tolist() == list(out.prices) + [0.0] * pad
 
 
 class TestEpisodeUniforms:
