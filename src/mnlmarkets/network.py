@@ -159,8 +159,7 @@ def _rival_logits(market: BipartiteMarket, prices, i: int) -> np.ndarray:
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     """1 / (1 + e^{-z}) from one exponential of -|z|, which never overflows."""
     e = np.exp(-np.abs(z))
-    d = 1.0 + e
-    return np.where(z >= 0, 1.0 / d, e / d)
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def seller_best_response(market: BipartiteMarket, prices, i: int) -> float:

@@ -54,15 +54,48 @@ class Arc:
     weight: int  # fixed-point, WEIGHT_SCALE per revenue unit
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlowNetwork:
-    """Layered network: 0 = source, 1..m buyers, m+1..m+n sellers, last = sink."""
+    """Layered network: 0 = source, 1..m buyers, m+1..m+n sellers, last = sink.
+
+    Source -> buyer and buyer -> seller arcs have capacity 1; seller i ->
+    sink has capacity ``capacities[i]``. ``weights`` is the read-only int64
+    (n, m) matrix of buyer k -> seller i arc weights, _NO_ARC where the pair
+    is invisible; source and sink arcs weigh 0.
+    """
 
     market: BipartiteMarket
-    num_nodes: int
-    source: int
-    sink: int
-    arcs: tuple[Arc, ...]
+    weights: np.ndarray
+    capacities: tuple[int, ...]
+
+    @property
+    def num_nodes(self) -> int:
+        return self.market.buyers + self.market.sellers + 2
+
+    @property
+    def source(self) -> int:
+        return 0
+
+    @property
+    def sink(self) -> int:
+        return self.num_nodes - 1
+
+    @property
+    def arcs(self) -> tuple[Arc, ...]:
+        """Every arc as a record, built on access: source arcs by buyer,
+        then buyer -> seller arcs by buyer and seller, then sink arcs."""
+        m, n = self.market.buyers, self.market.sellers
+        visible = self.market.visibility
+        return (
+            tuple(Arc(tail=0, head=self.buyer_node(k), capacity=1, weight=0) for k in range(m))
+            + tuple(
+                Arc(tail=self.buyer_node(k), head=self.seller_node(i), capacity=1,
+                    weight=int(self.weights[i, k]))
+                for k in range(m) for i in range(n) if visible[i, k]
+            )
+            + tuple(Arc(tail=self.seller_node(i), head=self.sink, capacity=c, weight=0)
+                    for i, c in enumerate(self.capacities))
+        )
 
     def buyer_node(self, k: int) -> int:
         return 1 + k
@@ -120,20 +153,16 @@ def unit_price_weight(theta: float) -> float:
 
 def build_flow_network(market: BipartiteMarket) -> FlowNetwork:
     """Assemble the segmentation network with fixed-point arc weights."""
-    m, n = market.buyers, market.sellers
-    arcs = []
-    sink = 1 + m + n
-    for k in range(m):
-        arcs.append(Arc(tail=0, head=1 + k, capacity=1, weight=0))
-    for k in range(m):
-        for i in range(n):
-            if market.visibility[i, k]:
-                w = round(WEIGHT_SCALE * unit_price_weight(float(market.theta[i, k])))
-                arcs.append(Arc(tail=1 + k, head=1 + m + i, capacity=1, weight=int(w)))
-    for i in range(n):
-        arcs.append(Arc(tail=1 + m + i, head=sink, capacity=market.capacities[i], weight=0))
-    return FlowNetwork(market=market, num_nodes=sink + 1, source=0, sink=sink,
-                       arcs=tuple(arcs))
+    weights = np.array(
+        [
+            [round(WEIGHT_SCALE * unit_price_weight(t)) if v else _NO_ARC
+             for t, v in zip(thetas, visible)]
+            for thetas, visible in zip(market.theta.tolist(), market.visibility.tolist())
+        ],
+        dtype=np.int64,
+    ).reshape(market.sellers, market.buyers)
+    weights.setflags(write=False)
+    return FlowNetwork(market=market, weights=weights, capacities=market.capacities)
 
 
 def max_weight_flow(network: FlowNetwork) -> FlowAssignment:
@@ -149,8 +178,7 @@ def max_weight_flow(network: FlowNetwork) -> FlowAssignment:
     Bellman-Ford over the sellers; because every intermediate assignment is
     the heaviest of its size, the seller graph has no positive cycle. Only
     the transfer rows of the sellers on the path change after it. Weights
-    are read once from ``network.arcs`` into an int64 seller x buyer matrix,
-    so every sum is exact.
+    are the network's int64 seller x buyer matrix, so every sum is exact.
 
     Ties go to the lowest index: the lowest buyer for each entry and each
     transfer, the lowest predecessor seller in each Bellman-Ford round (a
@@ -158,16 +186,8 @@ def max_weight_flow(network: FlowNetwork) -> FlowAssignment:
     spare capacity as the end of the path.
     """
     m, n = network.market.buyers, network.market.sellers
-    arcs = np.array(
-        [(a.tail, a.head, a.capacity, a.weight) for a in network.arcs], dtype=np.int64
-    )
-    tail, head, cap, w = arcs.T
-    to_sink = head == network.sink
-    mid = ~to_sink & (tail != network.source)
-    capacity = np.zeros(n, dtype=np.int64)
-    capacity[tail[to_sink] - 1 - m] = cap[to_sink]
-    weight = np.full((n, m), _NO_ARC, dtype=np.int64)
-    weight[head[mid] - 1 - m, tail[mid] - 1] = w[mid]
+    capacity = np.array(network.capacities, dtype=np.int64)
+    weight = network.weights
 
     free = weight.copy()  # columns of assigned buyers are blanked to _NO_ARC
     owner = np.full(m, -1, dtype=np.intp)

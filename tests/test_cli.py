@@ -253,3 +253,31 @@ class TestAdversaryDemo:
     def test_overflow_exits_2(self, capsys):
         code, _, _ = run(["adversary-demo", "--growth", "10", "--horizon", "400"], capsys)
         assert code == 2
+
+
+class TestExtremeQualities:
+    def write_catalog(self, tmp_path, qualities):
+        path = tmp_path / "extreme.json"
+        doc = {"schema": 1, "qualities": qualities, "inventories": [1] * len(qualities)}
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    @pytest.mark.parametrize("command", [["equilibrium"], ["opt", "--buyers", "3"]])
+    @pytest.mark.parametrize("qualities", [[1e300], [1e300, 1.0, 2.0, 3.0, 4.0, 5.0]])
+    def test_share_rounding_to_one_exits_2(self, tmp_path, capsys, command, qualities):
+        path = self.write_catalog(tmp_path, qualities)
+        code, out, err = run([command[0], path, *command[1:]], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_underflowing_quality_sells_nothing(self, tmp_path, capsys):
+        path = self.write_catalog(tmp_path, [-800.0])
+        code, out, _ = run(["equilibrium", path], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["demands"] == [0.0] and doc["prices"] == [1.0]
+        assert doc["total_revenue"] == 0.0
+        code, out, _ = run(["opt", path, "--buyers", "3"], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["objective"] == 0.0 and doc["support"] == []

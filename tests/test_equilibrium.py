@@ -15,6 +15,7 @@ import pytest
 from mnlmarkets.equilibrium import (
     DomainError,
     ItemCatalog,
+    _share_from_log,
     best_response_price,
     equilibrium_outcome,
     mnl_demand,
@@ -405,3 +406,46 @@ class TestEquilibriumStationarity:
                 deriv = (rev(p[i] + eps) - rev(p[i] - eps)) / (2 * eps)
                 assert abs(deriv) <= 1e-7
                 assert best_response_price(theta, p, i) == pytest.approx(p[i], abs=1e-6)
+
+
+class TestExtremeQualities:
+    def test_underflowing_share_is_positive_zero(self):
+        y = _share_from_log(-800.0)
+        assert y == 0.0 and math.copysign(1.0, y) == 1.0
+        # A subnormal first guess still runs the Newton iteration.
+        assert 0.0 < _share_from_log(-740.0) < 1e-300
+
+    def test_lone_negligible_item_sells_nothing(self):
+        out = equilibrium_outcome(ItemCatalog([-800.0], [1]), (0,))
+        assert out.demands == (0.0,) and out.prices == (1.0,)
+        assert out.revenues == (0.0,) and out.total_revenue == 0.0
+        assert abs(out.q0 - 1.0) < 1e-13
+
+    def test_negligible_item_leaves_the_others_unchanged(self):
+        cat = ItemCatalog([1.0, -800.0, 2.0], [1, 1, 1])
+        alone = equilibrium_outcome(cat, (0, 1))
+        out = equilibrium_outcome(cat, (0, 1, 2))
+        assert out.q0 == alone.q0
+        assert out.demands == alone.demands + (0.0,)
+        assert out.total_revenue == alone.total_revenue
+
+    def test_share_rounding_to_one_is_a_domain_error(self):
+        for qualities in ([1e300], [1e17, 0.0], [40.0, 1e16]):
+            cat = ItemCatalog(qualities, [1] * len(qualities))
+            with pytest.raises(DomainError, match="rounds to 1"):
+                equilibrium_outcome(cat, range(len(qualities)))
+        assert equilibrium_outcome(ItemCatalog([1e15], [1]), (0,)).demands[0] < 1.0
+
+
+class TestSequentialTotals:
+    def test_totals_add_left_to_right_from_zero(self):
+        # math.fsum of both revenue lists differs from the left-to-right sum
+        # in the last bit, as sum() of floats would from Python 3.12 on.
+        cat = ItemCatalog([0.28, 2.04, 1.91, 3.13, -1.37, 2.01], [1] * 6,
+                          costs=[1.85, 1.94, 0.03, 1.73, 1.96, 1.91])
+        for out in (equilibrium_outcome(cat, range(6)), perishable_outcome(cat, range(6))):
+            total = 0.0
+            for r in out.revenues:
+                total += r
+            assert out.total_revenue == total
+            assert math.fsum(out.revenues) != total

@@ -7,11 +7,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from mnlmarkets import equilibrium
 from mnlmarkets.equilibrium import (
     DomainError,
     ItemCatalog,
     SolverError,
     _outcome_cached,
+    _solve_masks,
+    _solve_outcome,
     equilibrium_outcome,
 )
 from mnlmarkets.lp import (
@@ -213,6 +216,107 @@ class TestColumnArrays:
             tracemalloc.stop()
         assert len(cols.columns) == 1023
         assert kept <= 256 * 1023, f"enumeration kept {kept} bytes"
+
+
+# The 12-item catalog of the seed-0 lp-plan benchmark workload (catalog02).
+LP_PLAN_TWELVE = [0.753921, -1.176189, 0.543987, -1.670006, 0.278739, 2.120124,
+                  -0.963019, 2.451531, -0.232589, 2.800445, 1.520994, 3.297614]
+
+
+def scalar_columns(cat, masks):
+    """Demands and revenues of each mask from the scalar _solve_outcome."""
+    demands = np.zeros((len(cat), len(masks)))
+    revenues = np.empty(len(masks))
+    for j, mask in enumerate(masks):
+        members = tuple(i for i in range(len(cat)) if mask >> i & 1)
+        out = _solve_outcome(cat, members)
+        demands[members, j] = out.demands
+        revenues[j] = out.total_revenue
+    return demands, revenues
+
+
+def assert_same_bits(a, b):
+    """Equal as int64 views, so the sign of zero counts."""
+    assert a.shape == b.shape
+    assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def assert_kernel_matches_scalar(qualities, masks=None):
+    cat = ItemCatalog(qualities, [1] * len(qualities))
+    if masks is None:
+        masks = np.arange(1, 1 << len(cat))
+    demands, revenues = _solve_masks(cat.qualities, masks)
+    want_demands, want_revenues = scalar_columns(cat, masks.tolist())
+    assert_same_bits(demands, want_demands)
+    assert_same_bits(revenues, want_revenues)
+    return cat, demands, revenues
+
+
+class TestBatchedKernel:
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_bit_identity_across_the_crossover(self, n):
+        rng = np.random.default_rng(100 + n)
+        cat, demands, revenues = assert_kernel_matches_scalar(rng.uniform(-2.0, 3.5, n).tolist())
+        cols = enumerate_columns(cat)  # scalar below 6 items, batched from 6 on
+        assert_same_bits(cols.demands, demands)
+        assert_same_bits(cols.revenues, revenues)
+
+    def test_bit_identity_on_lp_plan_catalog(self):
+        cat, demands, revenues = assert_kernel_matches_scalar(LP_PLAN_TWELVE)
+        cols = enumerate_columns(cat)
+        assert_same_bits(cols.demands, demands)
+        assert_same_bits(cols.revenues, revenues)
+
+    @pytest.mark.parametrize("qualities", [
+        # Takes the share bisection, the share's nxt == w stop and the
+        # no-purchase bisection, which the lp-plan catalogs never reach.
+        [30.0, 200.0, 5.0],
+        [2.0, 2.0, 2.0, 1.0, 1.0, 1.0],
+        [-700.0, 1.0, 2.0],
+        [-800.0, 1.0, 2.0, -0.5, 0.5, 3.0],  # a share that underflows to 0.0
+    ])
+    def test_bit_identity_on_rare_branches(self, qualities):
+        assert_kernel_matches_scalar(qualities)
+
+    def test_mask_subsets_and_block_boundaries(self, monkeypatch):
+        # 1023 and 2047 masks are not multiples of the 512-mask block.
+        assert_kernel_matches_scalar(np.linspace(3.1, -1.7, 10).tolist())
+        assert_kernel_matches_scalar(np.linspace(2.2, -2.9, 11).tolist(),
+                                     np.arange(1, 1 << 11)[::-1])
+        monkeypatch.setattr(equilibrium, "_MASK_BLOCK", 10)
+        rng = np.random.default_rng(71)
+        qualities = rng.uniform(-2.0, 3.5, 7).tolist()
+        assert_kernel_matches_scalar(qualities)
+        assert_kernel_matches_scalar(qualities, rng.permutation(np.arange(1, 128))[:45])
+
+    def test_share_rounding_to_one_raises_domain_error(self):
+        with pytest.raises(DomainError, match="rounds to 1"):
+            _solve_masks([1e300, 1.0, 0.0], np.arange(1, 8))
+        with pytest.raises(DomainError, match="rounds to 1"):
+            enumerate_columns(ItemCatalog([1e17, 3.0, 2.0, 1.0, 0.0, -1.0], [1] * 6))
+
+    def test_iteration_cap_raises_solver_error(self, monkeypatch):
+        monkeypatch.setattr(equilibrium, "_MAX_ITER", 3)
+        cat = ItemCatalog([30.0, 200.0, 5.0], [1, 1, 1])
+        with pytest.raises(SolverError):
+            _solve_outcome(cat, (0, 1, 2))
+        with pytest.raises(SolverError):
+            _solve_masks(cat.qualities, np.arange(1, 8))
+
+    def test_twelve_item_enumeration_peaks_under_2_mb(self):
+        # The result arrays are 0.43 MB; 512-mask blocks bound the rest.
+        cat = ItemCatalog(np.linspace(3.4, -1.8, 12), [3] * 12)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            cols = enumerate_columns(cat)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(cols.columns) == 4095
+        assert peak <= 2 * 2**20, f"enumeration peaked at {peak} bytes"
 
 
 class TestSolveOpt:

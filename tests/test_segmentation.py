@@ -89,6 +89,25 @@ class TestBuildNetwork:
         assert weights[(1, 0)] == round(WEIGHT_SCALE / (1.0 + E))
         assert weights[(0, 1)] == round(WEIGHT_SCALE * E / (1.0 + E))
 
+    def test_weight_matrix_is_the_arcs(self):
+        rng = np.random.default_rng(83)
+        mkt = BipartiteMarket(rng.uniform(-1.0, 2.3, (4, 9)),
+                              visibility=rng.random((4, 9)) < 0.6, capacities=[1, 3, 2, 5])
+        net = build_flow_network(mkt)
+        assert net.weights.dtype == np.int64 and net.weights.shape == (4, 9)
+        with pytest.raises(ValueError):
+            net.weights[0, 0] = 1
+        mid = [a for a in net.arcs if a.tail != net.source and a.head != net.sink]
+        assert [(a.tail - 1, a.head - 10) for a in mid] == [
+            (k, i) for k in range(9) for i in range(4) if mkt.visibility[i, k]
+        ]
+        for a in mid:
+            theta = float(mkt.theta[a.head - 10, a.tail - 1])
+            assert a.weight == net.weights[a.head - 10, a.tail - 1]
+            assert a.weight == round(WEIGHT_SCALE * unit_price_weight(theta))
+        assert (net.weights[~mkt.visibility] < 0).all()
+        assert [a.capacity for a in net.arcs if a.head == net.sink] == [1, 3, 2, 5]
+
     def test_unit_price_weight_values(self):
         assert unit_price_weight(1.0) == pytest.approx(0.5, abs=1e-15)
         assert unit_price_weight(0.0) == pytest.approx(1.0 / (1.0 + E), abs=1e-15)
