@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import DomainError, SolverError
+from .equilibrium import DomainError, SolverError, _newton
 
 CONSISTENT_SHARE_CAP = 0.91
 _BR_TOL = 1e-12
@@ -128,11 +128,16 @@ def network_demand(market: BipartiteMarket, prices) -> np.ndarray:
     p = np.asarray(prices, dtype=float)
     if p.shape != (market.sellers,):
         raise DomainError("need one price per seller")
-    util = np.where(market.visibility, market.theta - p[:, None], -np.inf)
+    weights, shift = _shifted_weights(market, p, market.visibility)
+    return weights / (np.exp(-shift) + weights.sum(axis=0))
+
+
+def _shifted_weights(market: BipartiteMarket, p: np.ndarray, visible: np.ndarray):
+    """e^{theta_ik - p_i - s_k} on the visible pairs (0 elsewhere), and the
+    per-buyer shift s_k = max(0, max_i theta_ik - p_i) that keeps it finite."""
+    util = np.where(visible, market.theta - p[:, None], -np.inf)
     shift = np.maximum(0.0, util.max(axis=0, initial=-np.inf))
-    weights = np.exp(util - shift)
-    denom = np.exp(-shift) + weights.sum(axis=0)
-    return weights / denom
+    return np.exp(util - shift), shift
 
 
 def seller_utility(market: BipartiteMarket, prices, i: int) -> float:
@@ -147,12 +152,11 @@ def seller_utility(market: BipartiteMarket, prices, i: int) -> float:
 def _rival_logits(market: BipartiteMarket, prices, i: int) -> np.ndarray:
     """z_k = theta_ik - ln(1 + sum_{j != i} e^{theta_jk - p_jk}), for buyers
     visible to i; q_ik(p) = sigmoid(z_k - p)."""
-    p = np.asarray(prices, dtype=float)
+    rivals = market.visibility.copy()
+    rivals[i] = False
+    weights, shift = _shifted_weights(market, np.asarray(prices, dtype=float), rivals)
+    log_base = shift + np.log(np.exp(-shift) + weights.sum(axis=0))
     vis_i = market.visibility[i]
-    util = np.where(market.visibility, market.theta - p[:, None], -np.inf)
-    util[i] = -np.inf
-    shift = np.maximum(0.0, util.max(axis=0, initial=-np.inf))
-    log_base = shift + np.log(np.exp(-shift) + np.exp(util - shift).sum(axis=0))
     return market.theta[i, vis_i] - log_base[vis_i]
 
 
@@ -181,34 +185,25 @@ def seller_best_response(market: BipartiteMarket, prices, i: int) -> float:
     def shares(p: float) -> np.ndarray:
         return _sigmoid(z - p)
 
-    def marginal(p: float) -> float:
-        q = shares(p)
+    def marginal(p: float, q: np.ndarray) -> float:
         return float((q * (1.0 - p * (1.0 - q))).sum())
 
-    if marginal(box) > 0.0:
-        raise SolverError(f"stationary price of seller {i} exceeds the search box")
-    lo, hi = 0.0, box
-    p = min(2.0, box)
-    for _ in range(200):
+    def minus_marginal(p: float) -> tuple[float, float]:
+        # The marginal utility falls through its root; _newton takes its negation.
         q = shares(p)
-        g = float((q * (1.0 - p * (1.0 - q))).sum())
-        if g > 0.0:
-            lo = p
-        else:
-            hi = p
-        if abs(g) < _BR_TOL:
-            break
         slope = float(((q * q - q) * (2.0 + 2.0 * p * q - p)).sum())
-        nxt = p - g / slope if slope < 0 else 0.5 * (lo + hi)
-        if not lo < nxt < hi:
-            nxt = 0.5 * (lo + hi)
-        if nxt == p:
-            break
-        p = nxt
+        return -marginal(p, q), -slope
+
+    if marginal(box, shares(box)) > 0.0:
+        raise SolverError(f"stationary price of seller {i} exceeds the search box")
+    # A stalled stationary solve keeps its last iterate: the capacity check
+    # below and the sweep's convergence test judge it.
+    p = _newton(minus_marginal, min(2.0, box), 0.0, box, _BR_TOL, None)
     demand = float(shares(p).sum())
     if demand <= cap:
         return p
-    # Capacity arm: raise the price until demand matches supply.
+    # Capacity arm: raise the price until demand matches supply. It bisects
+    # first, then probes Newton: _newton would change its iterates' bits.
     lo, hi = p, box
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -288,13 +283,7 @@ def solve_network_equilibrium(
             converged = True
             break
     demands = network_demand(market, p)
-    residual = 0.0
-    for i in range(n):
-        best = seller_best_response(market, p, i)
-        trial = p.copy()
-        trial[i] = best
-        gain = seller_utility(market, trial, i) - seller_utility(market, p, i)
-        residual = max(residual, gain)
+    residual = max([0.0, *_best_response_gains(market, p)])
     totals = demands.sum(axis=1)
     capacity_ok = bool(np.all(totals <= np.array(market.capacities) + 1e-7))
     return EquilibriumReport(
@@ -307,21 +296,26 @@ def solve_network_equilibrium(
     )
 
 
+def _best_response_gains(market: BipartiteMarket, p: np.ndarray) -> list[float]:
+    """Each seller's utility gain from moving alone to its best response."""
+    gains = []
+    for i in range(market.sellers):
+        trial = p.copy()
+        trial[i] = seller_best_response(market, p, i)
+        gains.append(seller_utility(market, trial, i) - seller_utility(market, p, i))
+    return gains
+
+
 def verify_equilibrium(market: BipartiteMarket, prices, epsilon: float = 1e-6) -> VerificationReport:
     """Check a price vector: no profitable deviation, capacity caps, and a
     nonpositive second-order term at interior stationary prices."""
     p = np.asarray(prices, dtype=float)
     demands = network_demand(market, p)
-    n = market.sellers
-    gains = []
+    gains = _best_response_gains(market, p)
     slacks = []
     second = []
     stationary = []
-    for i in range(n):
-        best = seller_best_response(market, p, i)
-        trial = p.copy()
-        trial[i] = best
-        gains.append(seller_utility(market, trial, i) - seller_utility(market, p, i))
+    for i in range(market.sellers):
         total = float(demands[i].sum())
         slacks.append(market.capacities[i] - total)
         q = demands[i][market.visibility[i]]

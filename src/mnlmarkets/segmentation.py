@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import DomainError
+from .equilibrium import DomainError, _sequential_sum
 from .network import (
     BipartiteMarket,
     EquilibriumReport,
@@ -295,7 +295,7 @@ def segment_market(market: BipartiteMarket) -> Segmentation:
         pools=pools,
         pool_prices=tuple(prices),
         pool_revenues=tuple(revenues),
-        total_revenue=float(sum(revenues)),
+        total_revenue=_sequential_sum(revenues),
         flow_weight=assignment.total_weight / WEIGHT_SCALE,
         lower_bound=units * UNIT_PRICE_FLOOR if certifiable else None,
         upper_bound=(market.price_box() - 1.0) * units,
@@ -312,12 +312,9 @@ def compare_segmented_vs_whole(market: BipartiteMarket) -> SegmentationCompariso
     seg = segment_market(market)
     whole = solve_network_equilibrium(market)
     totals = whole.demands.sum(axis=1)
-    whole_revenue = float(
-        sum(
-            p * min(t, c)
-            for p, t, c in zip(whole.prices, totals, market.capacities)
-        )
-    )
+    whole_revenue = float(_sequential_sum(
+        p * min(t, c) for p, t, c in zip(whole.prices, totals, market.capacities)
+    ))
     return SegmentationComparison(
         segmentation=seg,
         whole=whole,

@@ -13,8 +13,11 @@ import numpy as np
 import pytest
 
 from mnlmarkets.equilibrium import (
+    _MAX_ITER,
     DomainError,
     ItemCatalog,
+    SolverError,
+    _newton,
     _share_from_log,
     best_response_price,
     equilibrium_outcome,
@@ -449,3 +452,60 @@ class TestSequentialTotals:
                 total += r
             assert out.total_revenue == total
             assert math.fsum(out.revenues) != total
+
+
+class TestNewton:
+    def run(self, fn, x, lo, hi, tol=1e-12, stalled="stalled"):
+        seen = []
+
+        def traced(x):
+            seen.append(x)
+            return fn(x)
+
+        return _newton(traced, x, lo, hi, tol, stalled), seen
+
+    def test_newton_step_inside_the_bracket(self):
+        root, seen = self.run(lambda x: (x * x - 2.0, 2.0 * x), 1.0, 0.0, 2.0)
+        assert root == pytest.approx(math.sqrt(2.0), abs=1e-15)
+        assert seen[:2] == [1.0, 1.5]
+
+    @pytest.mark.parametrize("slope", [0.0, -1.0])
+    def test_nonpositive_slope_bisects(self, slope):
+        root, seen = self.run(lambda x: (x - 0.3, slope), 0.9, 0.0, 1.0)
+        assert seen[:4] == [0.9, 0.45, 0.225, 0.3375]
+        assert abs(root - 0.3) < 1e-12
+
+    def test_step_leaving_the_bracket_bisects(self):
+        # The Newton step from 0.9 would land at -0.6, below lo.
+        _, seen = self.run(lambda x: (x - 0.3, 0.4), 0.9, 0.0, 1.0)
+        assert seen[1] == 0.45
+
+    def test_doubles_while_hi_is_infinite(self):
+        root, seen = self.run(lambda x: (x - 100.0, 0.0), 1.0, 0.0, math.inf)
+        assert seen[:8] == [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0]
+        assert seen[8] == 96.0  # the bracket (64, 128) is finite now
+        assert abs(root - 100.0) < 1e-12
+
+    def test_returns_last_iterate_at_the_cap_without_a_message(self):
+        root, seen = self.run(lambda x: (-1.0, 0.0), 1.0, 0.0, math.inf, stalled=None)
+        assert len(seen) == _MAX_ITER
+        assert seen[-1] == 2.0 ** (_MAX_ITER - 1) and root == 2.0 ** _MAX_ITER
+
+    def test_raises_the_stalled_message_at_the_cap(self):
+        with pytest.raises(SolverError, match="^widget root stalled$"):
+            self.run(lambda x: (-1.0, 0.0), 1.0, 0.0, math.inf, stalled="widget root stalled")
+
+
+class TestBestResponseShareRoundsToOne:
+    # The seller's share at the starting price rounds to 1.0 here, where
+    # 1 / (1 - q) has no value; the solve starts at the top of the box.
+    @pytest.mark.parametrize("theta", [40.0, 60.0, 75.0])
+    def test_solo_seller_prices_at_its_monopoly_price(self, theta):
+        expected = 1.0 + solo_revenue_for_quality(theta)
+        assert best_response_price([theta], [1.0], 0) == pytest.approx(expected, rel=1e-12)
+
+    def test_duopoly_best_response_is_finite(self):
+        p = best_response_price([40.0, 1.0], [1.0, 1.0], 0)
+        assert math.isfinite(p) and 1.0 < p < 60.0
+        q = mnl_demand([40.0, 1.0], [p, 1.0])[0]
+        assert abs(1.0 - p * (1.0 - q)) < 1e-9

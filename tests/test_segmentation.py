@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from mnlmarkets.equilibrium import DomainError
+from mnlmarkets.equilibrium import DomainError, _sequential_sum
 from mnlmarkets.network import BipartiteMarket
 from mnlmarkets.segmentation import (
     WEIGHT_SCALE,
@@ -529,3 +529,22 @@ class TestFlowEdgeCases:
                 capacities=rng.integers(1, 3, n),
             )
             self.check(mkt)
+
+
+class TestSequentialTotals:
+    # sum() of floats is compensated from Python 3.12 on; the totals add
+    # left to right from 0.0 on every version, as the equilibrium totals do.
+    def test_totals_add_left_to_right(self):
+        rng = np.random.default_rng(7)
+        for _ in range(6):
+            n, m = int(rng.integers(2, 5)), int(rng.integers(3, 8))
+            mkt = BipartiteMarket(rng.uniform(-0.5, 2.3, (n, m)),
+                                  capacities=rng.integers(1, 3, n))
+            cmp = compare_segmented_vs_whole(mkt)
+            seg = cmp.segmentation
+            assert seg.total_revenue == _sequential_sum(seg.pool_revenues)
+            totals = cmp.whole.demands.sum(axis=1)
+            whole = 0.0
+            for p, t, c in zip(cmp.whole.prices, totals, mkt.capacities):
+                whole += p * min(t, c)
+            assert cmp.whole_revenue == whole
