@@ -455,7 +455,7 @@ def mnl_demand(qualities: Sequence[float], prices: Sequence[float]) -> list[floa
     utils = [float(t) - float(p) for t, p in zip(qualities, prices)]
     shift = max(0.0, max(utils, default=0.0))
     weights = [math.exp(u - shift) for u in utils]
-    denom = math.exp(-shift) + sum(weights)
+    denom = math.exp(-shift) + _sequential_sum(weights)
     return [w / denom for w in weights]
 
 
@@ -470,7 +470,7 @@ def price_game_potential(qualities: Sequence[float], prices: Sequence[float]) ->
     if any(p <= 0.0 for p in prices):
         raise DomainError("potential requires strictly positive prices")
     utils = [float(t) - float(p) for t, p in zip(qualities, prices)]
-    log_num = sum(math.log(p) + u for p, u in zip(prices, utils))
+    log_num = _sequential_sum(math.log(p) + u for p, u in zip(prices, utils))
     return math.exp(log_num - _log_outside_sum(utils))
 
 

@@ -118,10 +118,6 @@ class ColumnSet:
         """The columns as Column records, built one at a time on access."""
         return _ColumnView(self)
 
-    def demand_matrix(self) -> np.ndarray:
-        """The stored read-only (n, 2^n - 1) matrix of q_i(S) by column."""
-        return self.demands
-
 
 @dataclass(frozen=True)
 class LpSolution:
@@ -231,7 +227,7 @@ def enumerate_columns(catalog: ItemCatalog) -> ColumnSet:
 def _solve_columns(cols: ColumnSet, m: int, values: np.ndarray) -> LpSolution:
     if m < 1:
         raise DomainError(f"buyer count must be >= 1, got {m}")
-    a = cols.demand_matrix()
+    a = cols.demands
     rows = np.vstack([a, np.ones((1, a.shape[1]))])
     rhs = np.array(list(cols.catalog.inventories) + [float(m)], dtype=float)
     res = simplex_solve(rows, rhs, values)

@@ -248,14 +248,13 @@ def solve_network_equilibrium(
     market: BipartiteMarket,
     tolerance: float = 1e-9,
     max_iters: int = 10_000,
-    simultaneous: bool = False,
 ) -> EquilibriumReport:
     """Best-response iteration to a pure equilibrium of the price game.
 
-    Deterministic sweeps in seller order (Gauss-Seidel; set ``simultaneous``
-    for Jacobi updates). Stops when the largest price move in a sweep falls
-    below ``tolerance``. Never raises on non-convergence: the report carries
-    a converged flag and the residual max unilateral improvement.
+    Deterministic Gauss-Seidel sweeps in seller order. Stops when the
+    largest price move in a sweep falls below ``tolerance``. Never raises on
+    non-convergence: the report carries a converged flag and the residual
+    max unilateral improvement.
     """
     report = check_consistency(market)
     if not report.consistent:
@@ -270,15 +269,10 @@ def solve_network_equilibrium(
     iterations = 0
     for iterations in range(1, max_iters + 1):
         delta = 0.0
-        if simultaneous:
-            nxt = np.array([seller_best_response(market, p, i) for i in range(n)])
-            delta = float(np.abs(nxt - p).max())
-            p = nxt
-        else:
-            for i in range(n):
-                new = seller_best_response(market, p, i)
-                delta = max(delta, abs(new - p[i]))
-                p[i] = new
+        for i in range(n):
+            new = seller_best_response(market, p, i)
+            delta = max(delta, abs(new - p[i]))
+            p[i] = new
         if delta <= tolerance:
             converged = True
             break

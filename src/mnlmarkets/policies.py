@@ -1,10 +1,12 @@
 """Online assortment policies under inventory constraints.
 
-A policy sees only the catalog qualities and which items are still in stock;
-it never knows the number of buyers or the initial inventories. An item is
-"heavy" for threshold lam when offering it alone captures at least a lam
-fraction of the market, i.e. its solo equilibrium demand q_i({i}) >= lam.
-Because items are sorted by quality, the heavy set is always a prefix.
+Every policy is a function ``(instance, state) -> PolicyDecision``: it reads
+the catalog and the threshold from the ``OnlineInstance`` and the units left
+from the ``InventoryState``, and never the number of buyers; only the
+modified hybrid reads the initial inventories. An item is "heavy" for
+threshold lam when offering it alone captures at least a lam fraction of the
+market, i.e. its solo equilibrium demand q_i({i}) >= lam. Because items are
+sorted by quality, the heavy set is always a prefix.
 
 Three policies are provided:
 
@@ -51,14 +53,13 @@ class OnlineInstance:
 
 @dataclass
 class InventoryState:
-    """Mutable per-episode state: remaining units per item and the clock."""
+    """Mutable per-episode state: remaining units per item."""
 
     remaining: list[int]
-    t: int = 0
 
     @classmethod
     def fresh(cls, instance: OnlineInstance) -> "InventoryState":
-        return cls(remaining=list(instance.catalog.inventories), t=0)
+        return cls(remaining=list(instance.catalog.inventories))
 
 
 @dataclass(frozen=True)
@@ -103,7 +104,7 @@ def hybrid_next(instance: OnlineInstance, state: InventoryState) -> PolicyDecisi
     return PolicyDecision(assortment=light, phase=PHASE_LIGHT)
 
 
-def greedy_all_next(state: InventoryState) -> PolicyDecision:
+def greedy_all_next(instance: OnlineInstance, state: InventoryState) -> PolicyDecision:
     """Offer every item that still has stock."""
     available = tuple(i for i, left in enumerate(state.remaining) if left > 0)
     return PolicyDecision(assortment=available, phase=PHASE_GREEDY)

@@ -13,10 +13,12 @@ of replication r always sees the t-th double of that stream.
 
 ``estimate_ratio`` plays the replications of a named policy in lockstep in
 one process: step t decides an assortment bitmask for every replication at
-once, looks its cumulative demands and prices up in a table filled from the
-LP columns that ``solve_opt`` has already solved, and draws each buyer from
-column t of the replications' uniforms. Revenues are bit-identical to ``run_episode``, which
-remains the path for custom policies and recorded paths.
+once, reads its cumulative demands and prices from two dense tables over
+every bitmask, built from the LP columns that ``solve_opt`` has already
+solved (2 * 2^n * (n + 1) * 8 bytes: 852 kB at 12 items, about 350 MB at
+the 20-item cap), and draws each buyer from column t of the replications'
+uniforms. Revenues are bit-identical to ``run_episode``, which remains the
+path for callable policies and recorded paths.
 """
 
 from __future__ import annotations
@@ -30,11 +32,12 @@ import numpy as np
 from .equilibrium import (
     DomainError,
     EquilibriumOutcome,
+    ItemCatalog,
     equilibrium_outcome,
     quality_for_target_revenue,
     solo_revenue_for_quality,
 )
-from .lp import ColumnSet, enumerate_columns, solve_opt
+from .lp import enumerate_columns, solve_opt
 from .policies import (
     InventoryState,
     OnlineInstance,
@@ -50,13 +53,9 @@ from .policies import (
 Policy = Callable[[OnlineInstance, InventoryState], PolicyDecision]
 
 
-def _greedy_policy(instance: OnlineInstance, state: InventoryState) -> PolicyDecision:
-    return greedy_all_next(state)
-
-
 POLICIES: dict[str, Policy] = {
     "hybrid": hybrid_next,
-    "greedy": _greedy_policy,
+    "greedy": greedy_all_next,
     "modified": modified_hybrid_next,
 }
 
@@ -144,8 +143,7 @@ def run_episode(
     revenue = 0.0
     sold = [0] * len(catalog)
     path: list[tuple[tuple[int, ...], int | None]] | None = [] if record_path else None
-    for t in range(instance.m):
-        state.t = t
+    for _ in range(instance.m):
         decision = policy(instance, state)
         outcome = equilibrium_outcome(catalog, decision.assortment)
         purchased = sample_choice(outcome, rng)
@@ -186,58 +184,6 @@ def episode_uniforms(seed: int, replications: int, m: int) -> np.ndarray:
         _uniforms.clear()
         _uniforms[key] = draws
     return draws[:, :m]
-
-
-class _OutcomeTable:
-    """Assortment bitmask -> cumulative demands, members and prices, one row each.
-
-    Rows are filled from the catalog's LP columns the first time a mask is
-    offered, and the arrays double when full. Column k holds the k-th member
-    of the assortment, the demand summed up to it in the order
-    ``sample_choice`` sums it, and its price 1/(1 - q) as
-    ``equilibrium_outcome`` computes it; the columns after the last member
-    hold the no-purchase sentinel: cumulative demand +inf, item n and price
-    0.0. Mask 0, the empty assortment, is all sentinel.
-    """
-
-    def __init__(self, columns: ColumnSet):
-        n = len(columns.catalog)
-        self.columns = columns
-        # mask -> row, -1 if unseen: 4 MB at the LP's 20-item cap, which
-        # estimate_ratio enforces before any episode runs.
-        self.slot = np.full(1 << n, -1, dtype=np.int32)
-        self.rows = 0
-        self.cum = np.empty((4, n + 1))
-        self.members = np.empty((4, n + 1), dtype=np.int64)
-        self.prices = np.empty((4, n + 1))
-
-    def lookup(self, masks: np.ndarray) -> np.ndarray:
-        rows = self.slot[masks]
-        if rows.min() < 0:
-            for mask in np.unique(masks[rows < 0]).tolist():
-                self._add(mask)
-            rows = self.slot[masks]
-        return rows
-
-    def _add(self, mask: int) -> None:
-        if self.rows == len(self.cum):
-            self.cum, self.members, self.prices = (
-                np.concatenate([a, np.empty_like(a)]) for a in (self.cum, self.members, self.prices)
-            )
-        n = len(self.columns.catalog)
-        members = self.columns.members(mask - 1)  # mask 0 decodes to no members
-        demands = self.columns.demands[members, mask - 1].tolist()
-        acc = 0.0
-        cum = []
-        for q in demands:
-            acc += q
-            cum.append(acc)
-        k, row = len(cum), self.rows
-        self.cum[row] = cum + [math.inf] * (n + 1 - k)
-        self.members[row] = list(members) + [n] * (n + 1 - k)
-        self.prices[row] = [1.0 / (1.0 - q) for q in demands] + [0.0] * (n + 1 - k)
-        self.slot[mask] = row
-        self.rows += 1
 
 
 # Vectorised forms of the POLICIES rules. Each builds, for one instance, a
@@ -301,6 +247,28 @@ def _modified_masks(instance: OnlineInstance) -> Callable[[np.ndarray], np.ndarr
 _MASK_RULES = {"hybrid": _hybrid_masks, "greedy": _greedy_masks, "modified": _modified_masks}
 
 
+def _choice_tables(catalog: ItemCatalog) -> tuple[np.ndarray, np.ndarray]:
+    """Running demand sums and prices of every assortment, from the LP columns.
+
+    Both are (2^n, n + 1), row = assortment bitmask and column = catalog
+    position. The running sum adds an exact 0.0 at each non-member, so at
+    every member it is ``sample_choice``'s sum and no uniform stops at a
+    non-member; the price is 1/(1 - q) as
+    ``equilibrium_outcome`` computes it. Column n is the no purchase, with
+    sum +inf and price 0.0, and row 0 the empty assortment. Together they
+    take 2 * 2^n * (n + 1) * 8 bytes: 180 kB at 10 items, 852 kB at 12 and
+    about 350 MB at the LP's 20-item cap, where the columns take 168 MB.
+    """
+    n = len(catalog)
+    price = np.zeros((1 << n, n + 1))
+    price[1:, :n] = enumerate_columns(catalog).demands.T
+    cum = np.cumsum(price, axis=1)
+    cum[:, n] = math.inf
+    np.divide(1.0, np.subtract(1.0, price, out=price), out=price)  # in place: no third table
+    price[:, n] = 0.0
+    return cum, price
+
+
 def _lockstep_revenues(name: str, instance: OnlineInstance, replications: int,
                       seed: int) -> np.ndarray:
     """Revenue of replications 0..R-1 of a named policy, all played together.
@@ -308,7 +276,9 @@ def _lockstep_revenues(name: str, instance: OnlineInstance, replications: int,
     Element r equals run_episode(POLICIES[name], instance, episode_rng(seed, r)).revenue
     bit for bit: the decisions are the scalar rules, each buyer picks the
     first member whose cumulative demand exceeds its uniform, and revenue
-    adds the sale price (0.0 for no purchase) in step order.
+    adds the sale price (0.0 for no purchase) in step order. The two dense
+    ``_choice_tables`` (2 * 2^n * (n + 1) * 8 bytes, 852 kB at 12 items) are
+    built once per call; a pick is the catalog position, or n for no purchase.
     """
     catalog = instance.catalog
     n = len(catalog)
@@ -316,7 +286,7 @@ def _lockstep_revenues(name: str, instance: OnlineInstance, replications: int,
     if instance.m == 0:
         return revenue
     decide = _MASK_RULES[name](instance)
-    table = _OutcomeTable(enumerate_columns(catalog))
+    cum, price = _choice_tables(catalog)
     draws = episode_uniforms(seed, replications, instance.m)
     # Column n is where no-purchase draws take their unit from; it is never read.
     stock_all = np.zeros((replications, n + 1), dtype=np.int64)
@@ -324,11 +294,10 @@ def _lockstep_revenues(name: str, instance: OnlineInstance, replications: int,
     stock, stock_flat = stock_all[:, :n], stock_all.reshape(-1)
     row_start = np.arange(replications, dtype=np.int64) * (n + 1)
     for t in range(instance.m):
-        rows = table.lookup(decide(stock))
-        pick = (draws[:, t, None] < np.take(table.cum, rows, axis=0)).argmax(axis=1)
-        cell = rows * (n + 1) + pick
-        revenue += np.take(table.prices, cell)
-        stock_flat[row_start + np.take(table.members, cell)] -= 1
+        masks = decide(stock)
+        pick = (draws[:, t, None] < cum[masks]).argmax(axis=1)
+        revenue += np.take(price, masks * (n + 1) + pick)
+        stock_flat[row_start + pick] -= 1
     return revenue
 
 
@@ -341,25 +310,20 @@ def estimate_ratio(
 ) -> RatioEstimate:
     """Mean episode revenue over independent replications, divided by OPT.
 
-    Replication r always uses the (seed, r) stream. A named policy, or one of
-    the ``POLICIES`` callables, runs all replications in lockstep in this
-    process; any other callable runs ``run_episode`` once per replication.
-    Both give the same revenues, bit for bit. ``workers`` is accepted and has
+    Replication r always uses the (seed, r) stream. A policy named by a key
+    of ``POLICIES`` runs all replications in lockstep in this process; a
+    callable runs ``run_episode`` once per replication. Both give the same
+    revenues, bit for bit. ``workers`` is accepted and has
     no effect. The LP optimum is solved first, so a catalog beyond its
     20-item cap is rejected before any episode runs.
     """
     if replications < 1:
         raise DomainError("need at least one replication")
-    if isinstance(policy, str):
-        name = policy
-        if name not in POLICIES:
-            raise DomainError(f"unknown policy {name!r}")
-    else:
-        matches = [k for k, v in POLICIES.items() if v is policy]
-        name = matches[0] if matches else None
+    if isinstance(policy, str) and policy not in POLICIES:
+        raise DomainError(f"unknown policy {policy!r}")
     opt = solve_opt(instance.catalog, instance.m).objective if instance.m >= 1 else 0.0
-    if name is not None:
-        arr = _lockstep_revenues(name, instance, replications, seed)
+    if isinstance(policy, str):
+        arr = _lockstep_revenues(policy, instance, replications, seed)
     else:
         arr = np.array([
             run_episode(policy, instance, episode_rng(seed, rep), record_path=False).revenue

@@ -3,9 +3,9 @@
 The README's determinism contract promises the same bytes for the same
 inputs on every run and every refactor. These digests pin the bytes of each
 command on a small input set that reaches both column-enumeration paths
-(5 items scalar, 7 items batched), all three online policies, the network
-best responses with and without capacity lifting, segmentation with its
-CSV, the ratio curve and the solo-revenue root of the adversary demo. A
+(5 items scalar, 7 items batched), all three online policies on both, the
+network best responses with and without capacity lifting, segmentation with
+its CSV, the ratio curve and the solo-revenue root of the adversary demo. A
 change that means to move output bytes updates the digests here and says
 why in CHANGES.md.
 """
@@ -26,6 +26,11 @@ CATALOG_7 = {"schema": 1, "qualities": [0.7, 1.9, -0.3, 1.1, 2.6, 0.1, 1.4],
 SIMULATE = {"schema": 1, "catalog": CATALOG_5, "policy": ["hybrid", "greedy", "modified"],
             "threshold_sweep": [0.5, 0.75], "buyers_sweep": [6, 12],
             "replications": 30, "seed": 11}
+# Twelve units against up to 20 buyers: episodes sell out, so the lockstep
+# engine offers the empty assortment, on the batched 7-item columns.
+SIMULATE_7 = {"schema": 1, "catalog": CATALOG_7, "policy": ["hybrid", "greedy", "modified"],
+              "threshold_sweep": [0.5, 0.75], "buyers_sweep": [6, 20],
+              "replications": 30, "seed": 17}
 # Seller 1 sees four buyers with one unit, so its best response lifts the
 # price to capacity; seller 2 sees one buyer and stays stationary.
 MARKET = {"schema": 1,
@@ -46,6 +51,7 @@ CASES = {
     "opt-7": ["opt", "{cat7}", "--buyers", "9"],
     "opt-7-fixed-rev": ["opt", "{cat7}", "--buyers", "9", "--fixed-rev", FIXED_REV_7],
     "simulate": ["simulate", "--config", "{sim}"],
+    "simulate-7": ["simulate", "--config", "{sim7}"],
     "network": ["network", "{market}"],
     "segment": ["segment", "{market}", "--compare", "--csv", "{csv}"],
     "gcurve": ["gcurve", "--lo", "0.6", "--hi", "0.7", "--step", "0.01"],
@@ -65,6 +71,7 @@ GOLDEN = {
     "segment": "c124ff78d9ceeda0e547c6df70751a55a6f053c0d728d67217e8a3de717d53c3",
     "segment-csv": "f8e0eaa75fd616797519a41c24a888dfdb13c5c5e4c1ef8f9091aaf8db01636c",
     "simulate": "f52685e178dd556cfb9ea221120665a4f00f9c9ec1a2b3c3c6871263dcea5264",
+    "simulate-7": "50dd2b44e1c8804922d9099f47f529a716213387a52c6a87aa53157fdb0e35a1",
 }
 
 
@@ -75,7 +82,7 @@ def _sha256(path) -> str:
 def _run_case(name: str, tmp_path) -> dict[str, str]:
     """Run one case; digest of its --out bytes (and of its CSV, if any)."""
     inputs = {"cat3": CATALOG_3, "cat5": CATALOG_5, "cat7": CATALOG_7,
-              "sim": SIMULATE, "market": MARKET}
+              "sim": SIMULATE, "sim7": SIMULATE_7, "market": MARKET}
     paths = {}
     for key, doc in inputs.items():
         paths[key] = tmp_path / f"{key}.json"

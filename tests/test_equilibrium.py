@@ -453,6 +453,34 @@ class TestSequentialTotals:
             assert out.total_revenue == total
             assert math.fsum(out.revenues) != total
 
+    @staticmethod
+    def left_to_right(values):
+        total = 0.0
+        for v in values:
+            total += v
+        return total
+
+    def test_mnl_demand_denominator_adds_left_to_right(self):
+        theta, prices = [0.02, 1.33, -0.34, -1.01], [2.83, 1.11, 0.87, 1.2]
+        utils = [t - p for t, p in zip(theta, prices)]
+        shift = max(0.0, *utils)
+        weights = [math.exp(u - shift) for u in utils]
+        denom = math.exp(-shift) + self.left_to_right(weights)
+        assert mnl_demand(theta, prices) == [w / denom for w in weights]
+        fsum_denom = math.exp(-shift) + math.fsum(weights)
+        assert [w / fsum_denom for w in weights] != [w / denom for w in weights]
+
+    def test_potential_numerator_adds_left_to_right(self):
+        theta, prices = [1.3, 2.66, -0.96, 1.15], [1.25, 2.35, 2.31, 1.05]
+        utils = [t - p for t, p in zip(theta, prices)]
+        shift = max(0.0, *utils)
+        log_den = shift + math.log(
+            math.exp(-shift) + self.left_to_right(math.exp(u - shift) for u in utils))
+        terms = [math.log(p) + u for p, u in zip(prices, utils)]
+        expected = math.exp(self.left_to_right(terms) - log_den)
+        assert price_game_potential(theta, prices) == expected
+        assert math.exp(math.fsum(terms) - log_den) != expected
+
 
 class TestNewton:
     def run(self, fn, x, lo, hi, tol=1e-12, stalled="stalled"):

@@ -169,7 +169,7 @@ class TestColumnArrays:
             r = rng.uniform(-1.0, 3.0, n).tolist()
             r[0] = 0.0
             sol = solve_opt_fixed_rev(cat, 17, r)
-            rows = np.vstack([cols.demand_matrix(), np.ones((1, len(cols.columns)))])
+            rows = np.vstack([cols.demands, np.ones((1, len(cols.columns)))])
             rhs = np.array(list(cat.inventories) + [17.0])
             ref = simplex_solve(rows, rhs, np.array([c.fixed_revenue(r) for c in cols.columns]))
             assert sol.objective == ref.objective
@@ -177,7 +177,6 @@ class TestColumnArrays:
 
     def test_arrays_reject_writes(self):
         cols = enumerate_columns(ItemCatalog([1.0, 0.5, -0.5], [1, 2, 3]))
-        assert cols.demand_matrix() is cols.demands
         with pytest.raises(ValueError):
             cols.demands[0, 0] = 1.0
         with pytest.raises(ValueError):
@@ -341,7 +340,7 @@ class TestSolveOpt:
             cat = ItemCatalog(rng.uniform(-2, 2.5, n), rng.integers(1, 6, n))
             m = int(rng.integers(1, 20))
             sol = solve_opt(cat, m)
-            a = enumerate_columns(cat).demand_matrix()
+            a = enumerate_columns(cat).demands
             z = np.array(sol.masses)
             assert np.all(a @ z <= np.array(cat.inventories) + 1e-8)
             assert z.sum() <= m + 1e-8

@@ -255,13 +255,6 @@ class TestSolveEquilibrium:
                 assert all(p <= mkt.price_box() for p in rep.prices)
         assert ok >= 0.95 * total
 
-    def test_jacobi_schedule_agrees(self):
-        mkt = BipartiteMarket([[2.0, 0.5], [1.0, 1.5]], capacities=[1, 1])
-        gs = solve_network_equilibrium(mkt)
-        jac = solve_network_equilibrium(mkt, simultaneous=True)
-        assert gs.converged and jac.converged
-        assert list(gs.prices) == pytest.approx(list(jac.prices), abs=1e-7)
-
     def test_inconsistent_market_warns(self):
         mkt = BipartiteMarket([[4.0, 4.0]], capacities=[1])
         with pytest.warns(UserWarning, match="not consistent"):

@@ -23,7 +23,7 @@ TEN_ITEM_QUALITIES = (3.0, 2.5, 2.0, 1.5, 1.0, 0.5, -0.5, -1.0, -1.5, -2.0)
 def two_item_instance(remaining, threshold=0.5, m=10):
     cat = ItemCatalog([2.0, 1.0], [2, 5])
     inst = OnlineInstance(catalog=cat, m=m, threshold=threshold)
-    return inst, InventoryState(remaining=list(remaining), t=0)
+    return inst, InventoryState(remaining=list(remaining))
 
 
 class TestClassifyHeavy:
@@ -82,7 +82,7 @@ class TestHybrid:
     def test_heavy_offered_in_quality_order(self):
         cat = ItemCatalog([3.0, 2.5, 2.0, 0.0], [1, 1, 1, 1])
         inst = OnlineInstance(catalog=cat, m=5, threshold=0.5)
-        state = InventoryState(remaining=[1, 1, 1, 1], t=0)
+        state = InventoryState(remaining=[1, 1, 1, 1])
         assert hybrid_next(inst, state).assortment == (0,)
         state.remaining[0] = 0
         assert hybrid_next(inst, state).assortment == (1,)
@@ -95,11 +95,11 @@ class TestHybrid:
 
 class TestGreedy:
     def test_offers_everything_in_stock(self):
-        state = InventoryState(remaining=[1, 1], t=0)
-        assert greedy_all_next(state).assortment == (0, 1)
-        state = InventoryState(remaining=[0, 3], t=0)
-        assert greedy_all_next(state).assortment == (1,)
-        assert greedy_all_next(state).phase == "greedy"
+        inst, state = two_item_instance([1, 1])
+        assert greedy_all_next(inst, state).assortment == (0, 1)
+        inst, state = two_item_instance([0, 3])
+        assert greedy_all_next(inst, state).assortment == (1,)
+        assert greedy_all_next(inst, state).phase == "greedy"
 
     def test_full_set_maximizes_sale_probability(self):
         # With unit fixed revenues the step objective is 1 - q0(S), which
@@ -151,14 +151,14 @@ class TestModifiedHybrid:
         # is about 0.075, far below threshold, so it joins the bundle.
         cat = ItemCatalog([2.0, 0.0], [10, 5])
         inst = OnlineInstance(catalog=cat, m=5, threshold=0.5)
-        state = InventoryState(remaining=[1, 5], t=0)
+        state = InventoryState(remaining=[1, 5])
         d = modified_hybrid_next(inst, state)
         assert d.assortment == (0, 1)
 
     def test_sold_out_gives_empty(self):
         cat = ItemCatalog([2.0, 0.0], [10, 5])
         inst = OnlineInstance(catalog=cat, m=5, threshold=0.5)
-        state = InventoryState(remaining=[0, 0], t=0)
+        state = InventoryState(remaining=[0, 0])
         assert modified_hybrid_next(inst, state).assortment == ()
 
     def test_picks_highest_relative_heaviness(self):
@@ -166,7 +166,7 @@ class TestModifiedHybrid:
         # discounted heaviness.
         cat = ItemCatalog([3.0, 2.9], [10, 10])
         inst = OnlineInstance(catalog=cat, m=5, threshold=0.5)
-        state = InventoryState(remaining=[2, 10], t=0)
+        state = InventoryState(remaining=[2, 10])
         assert modified_hybrid_next(inst, state).assortment == (1,)
 
 

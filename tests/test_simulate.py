@@ -1,8 +1,10 @@
 """Tests for the Monte-Carlo harness, the ratio bound curve, and the
 adversarial instance generator."""
 
+import gc
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,10 +24,9 @@ from mnlmarkets.simulate import (
     threshold_headroom,
     _bound_closed_branch,
     _MASK_RULES,
-    _OutcomeTable,
+    _choice_tables,
     _lockstep_revenues,
 )
-from mnlmarkets.lp import enumerate_columns
 
 E = math.e
 
@@ -277,26 +278,40 @@ class TestLockstepBitIdentity:
         check()
 
 
-class TestOutcomeTable:
+class TestChoiceTables:
     def test_rows_equal_equilibrium_outcomes(self):
-        # Every mask of a 6-item catalog, in an order that makes the arrays
-        # double several times; mask 0 is the all-sentinel row.
+        # Every mask of a 6-item catalog; mask 0 is the empty assortment.
         cat = ItemCatalog([3.1, 2.2, 1.0, 0.4, -0.7, -1.9], [1, 2, 3, 4, 5, 6])
         n = len(cat)
-        table = _OutcomeTable(enumerate_columns(cat))
-        masks = np.arange(1 << n, dtype=np.int64)[::-1]
-        rows = table.lookup(masks)
-        assert table.rows == 1 << n
-        for mask, row in zip(masks.tolist(), rows.tolist()):
+        cum, price = _choice_tables(cat)
+        assert cum.shape == price.shape == (1 << n, n + 1)
+        for mask in range(1 << n):
             out = equilibrium_outcome(cat, [i for i in range(n) if mask >> i & 1])
-            cum, acc = [], 0.0
-            for q in out.demands:
-                acc += q
-                cum.append(acc)
-            pad = n + 1 - len(out.members)
-            assert table.cum[row].tolist() == cum + [math.inf] * pad
-            assert table.members[row].tolist() == list(out.members) + [n] * pad
-            assert table.prices[row].tolist() == list(out.prices) + [0.0] * pad
+            demand = dict(zip(out.members, out.demands))
+            # sample_choice's running sum, repeated at each non-member, so
+            # no draw stops at a non-member.
+            running, acc = [], 0.0
+            for i in range(n):
+                if i in demand:
+                    acc += demand[i]
+                running.append(acc)
+            assert cum[mask].tolist() == running + [math.inf]
+            assert [price[mask, i] for i in out.members] == list(out.prices)
+            assert price[mask, n] == 0.0
+
+    def test_lockstep_peak_is_two_dense_tables(self):
+        # The columns are cached and numpy's lazy imports done by an untraced
+        # first call, so only what the call itself allocates counts.
+        inst = OnlineInstance(ItemCatalog(np.linspace(3.3, -1.7, 12), [2] * 12), 1, 0.5)
+        _lockstep_revenues("greedy", inst, 1, 0)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            _lockstep_revenues("greedy", inst, 1, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**12 * 13 * 8 + 256 * 1024, f"lockstep peaked at {peak} bytes"
 
 
 class TestEpisodeUniforms:
