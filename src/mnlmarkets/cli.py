@@ -49,6 +49,17 @@ def fmt(x: float) -> str:
     return f"{float(x):.12g}"
 
 
+def _number(value, convert, what: str):
+    """``convert(value)``, or SchemaError when that fails or is not finite."""
+    try:
+        x = convert(value)
+    except (TypeError, ValueError, OverflowError):
+        x = math.nan
+    if not math.isfinite(x):
+        raise SchemaError(f"{what} must be a finite number, got {value!r}")
+    return x
+
+
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -145,7 +156,7 @@ def cmd_equilibrium(args) -> int:
 def cmd_opt(args) -> int:
     catalog = parse_catalog(_load_json(args.catalog))
     if args.fixed_rev is not None:
-        r = [float(tok) for tok in args.fixed_rev.split(",")]
+        r = [_number(tok, float, "--fixed-rev") for tok in args.fixed_rev.split(",")]
         if len(r) != len(catalog):
             raise SchemaError("--fixed-rev needs one value per item")
         # File order to sorted catalog order.
@@ -169,7 +180,7 @@ def cmd_opt(args) -> int:
     return 0
 
 
-def _sweep_values(doc, scalar_key: str, sweep_key: str, default=None):
+def _sweep_values(doc, scalar_key: str, sweep_key: str):
     if scalar_key in doc and sweep_key in doc:
         raise SchemaError(f"give either {scalar_key} or {sweep_key}, not both")
     if sweep_key in doc:
@@ -179,8 +190,6 @@ def _sweep_values(doc, scalar_key: str, sweep_key: str, default=None):
         return list(vals)
     if scalar_key in doc:
         return [doc[scalar_key]]
-    if default is not None:
-        return default
     raise SchemaError(f"config needs {scalar_key} or {sweep_key}")
 
 
@@ -202,10 +211,11 @@ def cmd_simulate(args) -> int:
     for name in policies:
         if name not in POLICIES:
             raise SchemaError(f"unknown policy {name!r}; pick from {sorted(POLICIES)}")
-    thresholds = [float(x) for x in _sweep_values(doc, "threshold", "threshold_sweep")]
-    buyer_counts = [int(x) for x in _sweep_values(doc, "buyers", "buyers_sweep")]
-    replications = int(args.replications if args.replications is not None else doc.get("replications", 1000))
-    seed = int(args.seed if args.seed is not None else doc.get("seed", 0))
+    thresholds = [_number(x, float, "threshold") for x in _sweep_values(doc, "threshold", "threshold_sweep")]
+    buyer_counts = [_number(x, int, "buyers") for x in _sweep_values(doc, "buyers", "buyers_sweep")]
+    replications = _number(args.replications if args.replications is not None
+                           else doc.get("replications", 1000), int, "replications")
+    seed = _number(args.seed if args.seed is not None else doc.get("seed", 0), int, "seed")
     if replications < 1 or seed < 0:
         raise SchemaError("replications must be >= 1 and seed >= 0")
     if args.workers < 1:
@@ -217,7 +227,7 @@ def cmd_simulate(args) -> int:
         for threshold in thresholds:
             for m in buyer_counts:
                 instance = OnlineInstance(catalog=catalog, m=m, threshold=threshold)
-                est = estimate_ratio(policy, instance, replications, seed, workers=args.workers)
+                est = estimate_ratio(policy, instance, replications, seed)
                 lines.append(
                     ",".join(
                         [
@@ -242,8 +252,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_gcurve(args) -> int:
     lo, hi, step = args.lo, args.hi, args.step
-    if not (0.5 <= lo < hi < 1.0) or step <= 0:
-        raise SchemaError("threshold range must satisfy 0.5 <= lo < hi < 1 with positive step")
+    if not (0.5 <= lo < hi < 1.0) or not 1e-12 <= step < math.inf:
+        raise SchemaError("threshold range must satisfy 0.5 <= lo < hi < 1 with a finite step >= 1e-12")
     lines = [GCURVE_CSV_COLUMNS]
     best = (-math.inf, lo)
     lam = lo

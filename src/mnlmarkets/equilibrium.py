@@ -21,7 +21,8 @@ a solo item earn a prescribed revenue.
 All functions are pure; qualities may be any finite reals (negative allowed),
 and the exponential sums are evaluated with a max-exponent shift so large
 qualities do not overflow. A quality so large that an equilibrium share
-rounds to 1 has no finite price and raises DomainError.
+rounds to 1 has no finite price and raises DomainError, as do qualities
+so large that the no-purchase solve meets a subnormal q0 above its root.
 
 ``_solve_outcome`` solves one assortment; ``_solve_masks`` solves many at
 once in numpy and gives the same bits (see its docstring).
@@ -30,6 +31,7 @@ once in numpy and gives the same bits (see its docstring).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -46,6 +48,10 @@ class SolverError(RuntimeError):
 
 
 _MAX_ITER = 200
+# Cap of the no-purchase Newton. Bisection from q0 = 0.5 takes 1021 halvings
+# to reach the least normal double, so any normal root is reached within it.
+_Q0_MAX_ITER = 1100
+_Q0_SUBNORMAL = "qualities too large: the no-purchase share is subnormal"
 _SHARE_ROUNDS_TO_ONE = "quality too large: an equilibrium share rounds to 1"
 # Masks per block of _solve_masks, to bound its temporaries. At n = 12 one
 # 4095-mask block peaks at 5.7 MB under tracemalloc, 512-mask blocks at
@@ -134,19 +140,20 @@ def validate_assortment(catalog: ItemCatalog, members: Iterable[int]) -> tuple[i
     return tuple(sorted(seen))
 
 
-def _newton(fn, x: float, lo: float, hi: float, tol: float, stalled: str | None) -> float:
+def _newton(fn, x: float, lo: float, hi: float, tol: float, stalled: str | None,
+            max_iter: int = _MAX_ITER) -> float:
     """Root of an increasing f by bracketed Newton; ``fn(x)`` gives (f, slope).
 
     Each iterate narrows (lo, hi) to the sign of f. A positive-slope Newton
     step that lands strictly inside the bracket is taken; otherwise the
     bracket is bisected, or x doubled while hi is infinite. Stops when
-    |f| < tol or the next iterate equals x. After _MAX_ITER iterates raises
+    |f| < tol or the next iterate equals x. After max_iter iterates raises
     SolverError(stalled), or returns the last iterate if stalled is None.
 
     A decreasing g passes (-g, -slope), which keeps the iterates of a loop on
     g: negation and (-a)/(-b) are exact, and at g == 0 the tolerance returns.
     """
-    for _ in range(_MAX_ITER):
+    for _ in range(max_iter):
         f, slope = fn(x)
         if f > 0.0:
             hi = x
@@ -229,7 +236,10 @@ def solve_share(x: float) -> float:
 
 
 def _no_purchase_root(qualities: Sequence[float]) -> float:
-    """Root q0 of  sum_i V(q0 * e^{theta_i - 1}) + q0 - 1 = 0  on (0, 1]."""
+    """Root q0 of  sum_i V(q0 * e^{theta_i - 1}) + q0 - 1 = 0  on (0, 1].
+
+    DomainError once a subnormal iterate lies above the root: q0 is then
+    too coarse to fix the shares."""
     offsets = [t - 1.0 for t in qualities]
 
     def h_and_slope(q0: float) -> tuple[float, float]:
@@ -242,10 +252,12 @@ def _no_purchase_root(qualities: Sequence[float]) -> float:
             total += y
             # dV/dq0 = y / (q0 * (1 + w(1+w)))
             slope += y / (q0 * (1.0 + w * (1.0 + w)))
+        if total > 0.0 and q0 < sys.float_info.min:
+            raise DomainError(_Q0_SUBNORMAL)
         return total, slope
 
     return _newton(h_and_slope, 0.5, 0.0, 1.0, 1e-13,
-                   "no-purchase share iteration did not converge")
+                   "no-purchase share iteration did not converge", _Q0_MAX_ITER)
 
 
 def solve_no_purchase(catalog: ItemCatalog, members: Iterable[int]) -> float:
@@ -344,7 +356,7 @@ def _solve_mask_block(theta: np.ndarray, masks: np.ndarray) -> tuple[np.ndarray,
     # only on the item: solve those n once.
     first = _shares_from_log(math.log(0.5) + off)
     act = np.arange(k)
-    for round_ in range(_MAX_ITER):
+    for round_ in range(_Q0_MAX_ITER):
         m = member[act]
         qa = q0[act]
         if round_ == 0:
@@ -362,6 +374,8 @@ def _solve_mask_block(theta: np.ndarray, masks: np.ndarray) -> tuple[np.ndarray,
             np.add(h, y[:, i], out=h, where=m[:, i])
             np.add(slope, term[:, i], out=slope, where=m[:, i])
         up = h > 0.0
+        if (up & (qa < sys.float_info.min)).any():
+            raise DomainError(_Q0_SUBNORMAL)
         hi_a = np.where(up, qa, hi[act])
         lo_a = np.where(up, lo[act], qa)
         nxt = qa - h / slope
@@ -399,8 +413,8 @@ def _solve_masks(qualities: Sequence[float], masks: np.ndarray) -> tuple[np.ndar
     which are IEEE-exact; every exp, log and log1p is a libm call per
     element (see _libm). Sums add in member order from the same start.
     Masks are solved in blocks of _MASK_BLOCK to bound the temporaries.
-    Raises what the scalar path raises: SolverError at _MAX_ITER, and
-    DomainError where a share rounds to 1.
+    Raises what the scalar path raises: SolverError at either iteration cap,
+    and DomainError where a share rounds to 1 or q0 is subnormal.
     """
     theta = np.asarray(qualities, dtype=float)
     masks = np.asarray(masks, dtype=np.int64)

@@ -91,7 +91,6 @@ class ConsistencyReport:
 
     consistent: bool
     max_share: float
-    share_bounds: np.ndarray  # per-pair sup over prices, 0 when invisible
 
 
 @dataclass(frozen=True)
@@ -240,7 +239,6 @@ def check_consistency(market: BipartiteMarket) -> ConsistencyReport:
     return ConsistencyReport(
         consistent=bool(max_share <= CONSISTENT_SHARE_CAP),
         max_share=max_share,
-        share_bounds=bounds,
     )
 
 

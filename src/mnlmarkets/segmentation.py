@@ -11,7 +11,9 @@ each seller's assigned buyers form a pool, which is then re-equilibrated
 with the capacity-aware single-seller best response (never worse than the
 unit price it was scored at).
 
-``max_weight_flow`` solves that flow as an assignment: it fills as many
+That layered graph is the model; the code keeps only its buyer -> seller
+weights (``FlowNetwork.weights``), as unit supply and capacities fix the rest.
+``max_weight_flow`` solves the flow as an assignment: it fills as many
 units as visibility allows and, among those assignments, returns the
 heaviest. It grows the assignment one buyer at a time along the heaviest
 augmenting path, searched over the n sellers rather than the m + n + 2
@@ -46,62 +48,19 @@ _NO_ARC = -(1 << 60)
 _UNREACHED = _NO_ARC // 2
 
 
-@dataclass(frozen=True)
-class Arc:
-    tail: int
-    head: int
-    capacity: int
-    weight: int  # fixed-point, WEIGHT_SCALE per revenue unit
-
-
 @dataclass(frozen=True, eq=False)
 class FlowNetwork:
-    """Layered network: 0 = source, 1..m buyers, m+1..m+n sellers, last = sink.
+    """The buyer -> seller layer of the segmentation network.
 
-    Source -> buyer and buyer -> seller arcs have capacity 1; seller i ->
-    sink has capacity ``capacities[i]``. ``weights`` is the read-only int64
-    (n, m) matrix of buyer k -> seller i arc weights, _NO_ARC where the pair
-    is invisible; source and sink arcs weigh 0.
+    ``weights`` is the read-only int64 (n, m) matrix of buyer k -> seller i
+    arc weights in fixed point (WEIGHT_SCALE per revenue unit), _NO_ARC
+    where the pair is invisible. The source and sink layers are implicit:
+    every buyer supplies one unit and seller i absorbs up to
+    ``market.capacities[i]``.
     """
 
     market: BipartiteMarket
     weights: np.ndarray
-    capacities: tuple[int, ...]
-
-    @property
-    def num_nodes(self) -> int:
-        return self.market.buyers + self.market.sellers + 2
-
-    @property
-    def source(self) -> int:
-        return 0
-
-    @property
-    def sink(self) -> int:
-        return self.num_nodes - 1
-
-    @property
-    def arcs(self) -> tuple[Arc, ...]:
-        """Every arc as a record, built on access: source arcs by buyer,
-        then buyer -> seller arcs by buyer and seller, then sink arcs."""
-        m, n = self.market.buyers, self.market.sellers
-        visible = self.market.visibility
-        return (
-            tuple(Arc(tail=0, head=self.buyer_node(k), capacity=1, weight=0) for k in range(m))
-            + tuple(
-                Arc(tail=self.buyer_node(k), head=self.seller_node(i), capacity=1,
-                    weight=int(self.weights[i, k]))
-                for k in range(m) for i in range(n) if visible[i, k]
-            )
-            + tuple(Arc(tail=self.seller_node(i), head=self.sink, capacity=c, weight=0)
-                    for i, c in enumerate(self.capacities))
-        )
-
-    def buyer_node(self, k: int) -> int:
-        return 1 + k
-
-    def seller_node(self, i: int) -> int:
-        return 1 + self.market.buyers + i
 
 
 @dataclass(frozen=True)
@@ -162,7 +121,7 @@ def build_flow_network(market: BipartiteMarket) -> FlowNetwork:
         dtype=np.int64,
     ).reshape(market.sellers, market.buyers)
     weights.setflags(write=False)
-    return FlowNetwork(market=market, weights=weights, capacities=market.capacities)
+    return FlowNetwork(market=market, weights=weights)
 
 
 def max_weight_flow(network: FlowNetwork) -> FlowAssignment:
@@ -186,7 +145,7 @@ def max_weight_flow(network: FlowNetwork) -> FlowAssignment:
     spare capacity as the end of the path.
     """
     m, n = network.market.buyers, network.market.sellers
-    capacity = np.array(network.capacities, dtype=np.int64)
+    capacity = np.array(network.market.capacities, dtype=np.int64)
     weight = network.weights
 
     free = weight.copy()  # columns of assigned buyers are blanked to _NO_ARC

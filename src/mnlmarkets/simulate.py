@@ -306,16 +306,15 @@ def estimate_ratio(
     instance: OnlineInstance,
     replications: int,
     seed: int,
-    workers: int = 1,
 ) -> RatioEstimate:
     """Mean episode revenue over independent replications, divided by OPT.
 
     Replication r always uses the (seed, r) stream. A policy named by a key
     of ``POLICIES`` runs all replications in lockstep in this process; a
     callable runs ``run_episode`` once per replication. Both give the same
-    revenues, bit for bit. ``workers`` is accepted and has
-    no effect. The LP optimum is solved first, so a catalog beyond its
-    20-item cap is rejected before any episode runs.
+    revenues, bit for bit, and every replication runs in this process. The
+    LP optimum is solved first, so a catalog beyond its 20-item cap is
+    rejected before any episode runs.
     """
     if replications < 1:
         raise DomainError("need at least one replication")

@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mnlmarkets
 from mnlmarkets.cli import main
 
 EXAMPLE_CATALOG = {"schema": 1, "qualities": [1.0, 2.0], "inventories": [1, 1]}
@@ -33,6 +38,11 @@ def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_one_error_line(code, out, err):
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestEquilibriumCommand:
@@ -94,6 +104,13 @@ class TestOptCommand:
         doc = json.loads(out)
         assert doc["objective"] == pytest.approx(1.0 - 0.331487, abs=1e-5)
 
+    @pytest.mark.parametrize("fixed_rev", ["a,b", "nan,1", "inf,1", "1,-inf"])
+    def test_non_numeric_or_non_finite_fixed_rev_exits_2(self, catalog_path, capsys, fixed_rev):
+        code, out, err = run(
+            ["opt", catalog_path, "--buyers", "1", "--fixed-rev", fixed_rev], capsys
+        )
+        assert_one_error_line(code, out, err)
+
 
 class TestSimulateCommand:
     def make_config(self, tmp_path, **overrides):
@@ -147,6 +164,17 @@ class TestSimulateCommand:
         code, _, _ = run(["simulate", "--config", cfg], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("field", [
+        {"buyers_sweep": ["abc"]},
+        {"buyers_sweep": [None]},
+        {"threshold": "x"},
+        {"replications": "x"},
+        {"seed": "x"},
+    ])
+    def test_unconvertible_field_exits_2(self, tmp_path, capsys, field):
+        cfg = self.make_config(tmp_path, **field)
+        assert_one_error_line(*run(["simulate", "--config", cfg], capsys))
+
 
 class TestGcurveCommand:
     def test_table_and_max_row(self, capsys):
@@ -162,6 +190,18 @@ class TestGcurveCommand:
     def test_range_error_exits_2(self, capsys):
         code, _, _ = run(["gcurve", "--lo", "0.4", "--hi", "0.9"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("step", ["1e-13", "0", "nan", "inf"])
+    def test_unusable_step_exits_2(self, step):
+        # In a child process with a timeout: a step that cannot advance the
+        # threshold would otherwise loop for ever.
+        src = str(Path(mnlmarkets.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-m", "mnlmarkets.cli", "gcurve", "--step", step],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert_one_error_line(proc.returncode, proc.stdout, proc.stderr)
 
     def test_deterministic(self, capsys):
         args = ["gcurve", "--lo", "0.5", "--hi", "0.6", "--step", "0.05"]
@@ -269,6 +309,23 @@ class TestExtremeQualities:
         code, out, err = run([command[0], path, *command[1:]], capsys)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_tiny_no_purchase_share_solves(self, tmp_path, capsys):
+        # The root q0 = 2.65e-65 lies about 216 bisections below 0.5.
+        path = self.write_catalog(tmp_path, [150.0, 150.0])
+        code, out, _ = run(["equilibrium", path], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert 0.0 < doc["q0"] < 1e-60
+        assert doc["q0"] + sum(doc["demands"]) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("command, qualities", [
+        (["equilibrium"], [800.0, 800.0]),
+        (["opt", "--buyers", "3"], [800.0] * 6),  # the batched column kernel
+    ])
+    def test_subnormal_no_purchase_share_exits_2(self, tmp_path, capsys, command, qualities):
+        path = self.write_catalog(tmp_path, qualities)
+        assert_one_error_line(*run([command[0], path, *command[1:]], capsys))
 
     def test_underflowing_quality_sells_nothing(self, tmp_path, capsys):
         path = self.write_catalog(tmp_path, [-800.0])

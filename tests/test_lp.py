@@ -302,6 +302,27 @@ class TestBatchedKernel:
         with pytest.raises(SolverError):
             _solve_masks(cat.qualities, np.arange(1, 8))
 
+    def test_tiny_no_purchase_root_beyond_200_rounds(self):
+        # From q0 = 0.5 the root 2.65e-65 takes about 216 no-purchase
+        # rounds, past the share Newton's cap of 200.
+        assert_kernel_matches_scalar([150.0] * 6)
+
+    def test_no_purchase_cap_raises_solver_error(self, monkeypatch):
+        monkeypatch.setattr(equilibrium, "_Q0_MAX_ITER", 3)
+        cat = ItemCatalog([150.0, 150.0], [1, 1])
+        with pytest.raises(SolverError, match="no-purchase"):
+            _solve_outcome(cat, (0, 1))
+        with pytest.raises(SolverError, match="no-purchase"):
+            _solve_masks(cat.qualities, np.arange(1, 4))
+
+    @pytest.mark.parametrize("qualities", [[760.0, 760.0], [740.0, 740.0, 0.0, 1.0, 2.0, 3.0]])
+    def test_subnormal_no_purchase_root_raises_domain_error(self, qualities):
+        cat = ItemCatalog(qualities, [1] * len(qualities))
+        with pytest.raises(DomainError, match="subnormal"):
+            _solve_outcome(cat, tuple(range(len(cat))))
+        with pytest.raises(DomainError, match="subnormal"):
+            _solve_masks(cat.qualities, np.arange(1, 1 << len(cat)))
+
     def test_twelve_item_enumeration_peaks_under_2_mb(self):
         # The result arrays are 0.43 MB; 512-mask blocks bound the rest.
         cat = ItemCatalog(np.linspace(3.4, -1.8, 12), [3] * 12)

@@ -62,34 +62,19 @@ def brute_force_assignment(market):
 
 
 class TestBuildNetwork:
-    def test_weights_and_arc_counts(self):
+    def test_weight_matrix_values(self):
         mkt = BipartiteMarket(
             [[1.0, 0.0], [2.0, 1.0]],
             visibility=[[True, True], [True, False]],
             capacities=[1, 2],
         )
-        net = build_flow_network(mkt)
-        assert net.num_nodes == 1 + 2 + 2 + 1
-        by_kind = {}
-        for arc in net.arcs:
-            if arc.tail == net.source:
-                by_kind.setdefault("source", []).append(arc)
-            elif arc.head == net.sink:
-                by_kind.setdefault("sink", []).append(arc)
-            else:
-                by_kind.setdefault("mid", []).append(arc)
-        assert len(by_kind["source"]) == 2 and len(by_kind["sink"]) == 2
-        assert len(by_kind["mid"]) == 3  # one invisible pair dropped
-        assert all(a.capacity == 1 and a.weight == 0 for a in by_kind["source"])
-        assert [a.capacity for a in by_kind["sink"]] == [1, 2]
-        weights = {
-            (a.tail - 1, a.head - 3): a.weight for a in by_kind["mid"]
-        }
-        assert weights[(0, 0)] == round(WEIGHT_SCALE * 0.5)
-        assert weights[(1, 0)] == round(WEIGHT_SCALE / (1.0 + E))
-        assert weights[(0, 1)] == round(WEIGHT_SCALE * E / (1.0 + E))
+        w = build_flow_network(mkt).weights  # seller x buyer
+        assert w[0, 0] == round(WEIGHT_SCALE * 0.5)
+        assert w[0, 1] == round(WEIGHT_SCALE / (1.0 + E))
+        assert w[1, 0] == round(WEIGHT_SCALE * E / (1.0 + E))
+        assert w[1, 1] < 0  # the invisible pair
 
-    def test_weight_matrix_is_the_arcs(self):
+    def test_weight_matrix_layout(self):
         rng = np.random.default_rng(83)
         mkt = BipartiteMarket(rng.uniform(-1.0, 2.3, (4, 9)),
                               visibility=rng.random((4, 9)) < 0.6, capacities=[1, 3, 2, 5])
@@ -97,16 +82,10 @@ class TestBuildNetwork:
         assert net.weights.dtype == np.int64 and net.weights.shape == (4, 9)
         with pytest.raises(ValueError):
             net.weights[0, 0] = 1
-        mid = [a for a in net.arcs if a.tail != net.source and a.head != net.sink]
-        assert [(a.tail - 1, a.head - 10) for a in mid] == [
-            (k, i) for k in range(9) for i in range(4) if mkt.visibility[i, k]
-        ]
-        for a in mid:
-            theta = float(mkt.theta[a.head - 10, a.tail - 1])
-            assert a.weight == net.weights[a.head - 10, a.tail - 1]
-            assert a.weight == round(WEIGHT_SCALE * unit_price_weight(theta))
+        for i, k in zip(*np.nonzero(mkt.visibility)):
+            theta = float(mkt.theta[i, k])
+            assert net.weights[i, k] == round(WEIGHT_SCALE * unit_price_weight(theta))
         assert (net.weights[~mkt.visibility] < 0).all()
-        assert [a.capacity for a in net.arcs if a.head == net.sink] == [1, 3, 2, 5]
 
     def test_unit_price_weight_values(self):
         assert unit_price_weight(1.0) == pytest.approx(0.5, abs=1e-15)

@@ -149,13 +149,6 @@ class TestEstimateRatio:
         assert est.ratio <= 1.0 + 3.0 * est.std_error / est.opt
         assert est.opt > 0 and est.replications == 400
 
-    def test_worker_count_does_not_change_result(self):
-        cat = ItemCatalog([2.0, 0.5], [2, 2])
-        inst = OnlineInstance(cat, m=8, threshold=0.5)
-        serial = estimate_ratio("hybrid", inst, replications=60, seed=33, workers=1)
-        parallel = estimate_ratio("hybrid", inst, replications=60, seed=33, workers=3)
-        assert serial == parallel
-
     def test_accepts_callable_policy(self):
         cat = ItemCatalog([2.0], [1])
         inst = OnlineInstance(cat, m=3, threshold=0.5)
