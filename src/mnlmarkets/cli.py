@@ -25,6 +25,7 @@ from .equilibrium import (
     SolverError,
     equilibrium_outcome,
     perishable_outcome,
+    whole_number,
 )
 from .lp import enumerate_columns, solve_opt, solve_opt_fixed_rev
 from .network import BipartiteMarket, check_consistency, solve_network_equilibrium
@@ -49,10 +50,10 @@ def fmt(x: float) -> str:
     return f"{float(x):.12g}"
 
 
-def _number(value, convert, what: str):
-    """``convert(value)``, or SchemaError when that fails or is not finite."""
+def _number(value, what: str) -> float:
+    """``float(value)``, or SchemaError when that fails or is not finite."""
     try:
-        x = convert(value)
+        x = float(value)
     except (TypeError, ValueError, OverflowError):
         x = math.nan
     if not math.isfinite(x):
@@ -156,7 +157,7 @@ def cmd_equilibrium(args) -> int:
 def cmd_opt(args) -> int:
     catalog = parse_catalog(_load_json(args.catalog))
     if args.fixed_rev is not None:
-        r = [_number(tok, float, "--fixed-rev") for tok in args.fixed_rev.split(",")]
+        r = [_number(tok, "--fixed-rev") for tok in args.fixed_rev.split(",")]
         if len(r) != len(catalog):
             raise SchemaError("--fixed-rev needs one value per item")
         # File order to sorted catalog order.
@@ -206,16 +207,20 @@ def cmd_simulate(args) -> int:
     )
     if ("catalog" in doc) == ("catalog_path" in doc):
         raise SchemaError("config needs exactly one of catalog or catalog_path")
+    if not isinstance(doc.get("catalog_path", ""), str):
+        raise SchemaError("catalog_path must be a string")
     catalog = parse_catalog(doc["catalog"] if "catalog" in doc else _load_json(doc["catalog_path"]))
     policies = doc["policy"] if isinstance(doc["policy"], list) else [doc["policy"]]
+    if not policies:
+        raise SchemaError("policy must be a name or a nonempty list of names")
     for name in policies:
-        if name not in POLICIES:
+        if not isinstance(name, str) or name not in POLICIES:
             raise SchemaError(f"unknown policy {name!r}; pick from {sorted(POLICIES)}")
-    thresholds = [_number(x, float, "threshold") for x in _sweep_values(doc, "threshold", "threshold_sweep")]
-    buyer_counts = [_number(x, int, "buyers") for x in _sweep_values(doc, "buyers", "buyers_sweep")]
-    replications = _number(args.replications if args.replications is not None
-                           else doc.get("replications", 1000), int, "replications")
-    seed = _number(args.seed if args.seed is not None else doc.get("seed", 0), int, "seed")
+    thresholds = [_number(x, "threshold") for x in _sweep_values(doc, "threshold", "threshold_sweep")]
+    buyer_counts = [whole_number(x, "buyers") for x in _sweep_values(doc, "buyers", "buyers_sweep")]
+    replications = whole_number(args.replications if args.replications is not None
+                                else doc.get("replications", 1000), "replications")
+    seed = whole_number(args.seed if args.seed is not None else doc.get("seed", 0), "seed")
     if replications < 1 or seed < 0:
         raise SchemaError("replications must be >= 1 and seed >= 0")
     if args.workers < 1:

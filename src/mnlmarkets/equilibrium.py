@@ -47,6 +47,18 @@ class SolverError(RuntimeError):
     """An iterative solve failed to reach its tolerance."""
 
 
+def whole_number(value, what: str) -> int:
+    """``int(value)``; DomainError for a boolean, a non-number or a value int() would truncate."""
+    try:
+        n = int(value)
+        whole = n == value and not isinstance(value, bool)
+    except (TypeError, ValueError, OverflowError):  # None, NaN, an infinity
+        whole = False
+    if not whole:
+        raise DomainError(f"{what}: {value!r} is not a whole number")
+    return n
+
+
 _MAX_ITER = 200
 # Cap of the no-purchase Newton. Bisection from q0 = 0.5 takes 1021 halvings
 # to reach the least normal double, so any normal root is reached within it.
@@ -76,7 +88,7 @@ class ItemCatalog:
 
     def __init__(self, qualities, inventories, costs=None):
         qualities = [float(t) for t in qualities]
-        inventories = [int(c) for c in inventories]
+        inventories = [whole_number(c, "inventories") for c in inventories]
         n = len(qualities)
         if n < 1:
             raise DomainError("catalog needs at least one item")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import DomainError, SolverError, _newton
+from .equilibrium import DomainError, SolverError, _newton, whole_number
 
 CONSISTENT_SHARE_CAP = 0.91
 _BR_TOL = 1e-12
@@ -51,7 +51,7 @@ class BipartiteMarket:
                 raise DomainError("visibility must match theta's shape")
         if capacities is None:
             capacities = [1] * n
-        capacities = [int(c) for c in capacities]
+        capacities = [whole_number(c, "capacities") for c in capacities]
         if len(capacities) != n or any(c < 1 for c in capacities):
             raise DomainError("capacities must give a positive integer per seller")
         if visibility.any() and not np.all(np.isfinite(theta[visibility])):
@@ -244,13 +244,12 @@ def check_consistency(market: BipartiteMarket) -> ConsistencyReport:
 
 def solve_network_equilibrium(
     market: BipartiteMarket,
-    tolerance: float = 1e-9,
     max_iters: int = 10_000,
 ) -> EquilibriumReport:
     """Best-response iteration to a pure equilibrium of the price game.
 
     Deterministic Gauss-Seidel sweeps in seller order. Stops when the
-    largest price move in a sweep falls below ``tolerance``. Never raises on
+    largest price move in a sweep is at most 1e-9. Never raises on
     non-convergence: the report carries a converged flag and the residual
     max unilateral improvement.
     """
@@ -271,7 +270,7 @@ def solve_network_equilibrium(
             new = seller_best_response(market, p, i)
             delta = max(delta, abs(new - p[i]))
             p[i] = new
-        if delta <= tolerance:
+        if delta <= 1e-9:
             converged = True
             break
     demands = network_demand(market, p)

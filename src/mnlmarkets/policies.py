@@ -1,12 +1,13 @@
 """Online assortment policies under inventory constraints.
 
-Every policy is a function ``(instance, state) -> PolicyDecision``: it reads
-the catalog and the threshold from the ``OnlineInstance`` and the units left
-from the ``InventoryState``, and never the number of buyers; only the
-modified hybrid reads the initial inventories. An item is "heavy" for
-threshold lam when offering it alone captures at least a lam fraction of the
-market, i.e. its solo equilibrium demand q_i({i}) >= lam. Because items are
-sorted by quality, the heavy set is always a prefix.
+Every policy is a function ``(instance, remaining) -> tuple[int, ...]``: it
+reads the catalog and the threshold from the ``OnlineInstance`` and the units
+left per catalog position from ``remaining``, never the number of buyers, and
+returns the sorted positions to offer; only the modified hybrid reads the
+initial inventories. An item is "heavy" for threshold lam when offering it
+alone captures at least a lam fraction of the market, i.e. its solo
+equilibrium demand q_i({i}) >= lam. Because items are sorted by quality, the
+heavy set is always a prefix.
 
 Three policies are provided:
 
@@ -23,13 +24,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 from .equilibrium import DomainError, ItemCatalog, solo_revenue_for_quality
 
-PHASE_HEAVY = "phase1"
-PHASE_LIGHT = "phase2"
-PHASE_GREEDY = "greedy"
-PHASE_MODIFIED = "modified"
+
+def check_threshold(lam: float) -> None:
+    """DomainError unless the heaviness threshold lam lies in [0.5, 1)."""
+    if not 0.5 <= lam < 1.0:
+        raise DomainError(f"threshold must lie in [0.5, 1), got {lam}")
 
 
 @dataclass(frozen=True)
@@ -47,27 +50,7 @@ class OnlineInstance:
     def __post_init__(self):
         if self.m < 0:
             raise DomainError(f"buyer count must be nonnegative, got {self.m}")
-        if not 0.5 <= self.threshold < 1.0:
-            raise DomainError(f"threshold must lie in [0.5, 1), got {self.threshold}")
-
-
-@dataclass
-class InventoryState:
-    """Mutable per-episode state: remaining units per item."""
-
-    remaining: list[int]
-
-    @classmethod
-    def fresh(cls, instance: OnlineInstance) -> "InventoryState":
-        return cls(remaining=list(instance.catalog.inventories))
-
-
-@dataclass(frozen=True)
-class PolicyDecision:
-    """An assortment to display plus the phase that produced it."""
-
-    assortment: tuple[int, ...]
-    phase: str
+        check_threshold(self.threshold)
 
 
 @lru_cache(maxsize=1024)
@@ -82,8 +65,7 @@ def solo_demands(catalog: ItemCatalog) -> tuple[float, ...]:
 
 def classify_heavy(catalog: ItemCatalog, threshold: float) -> tuple[int, ...]:
     """Positions of heavy items: q_i({i}) >= threshold. Always a prefix."""
-    if not 0.5 <= threshold < 1.0:
-        raise DomainError(f"threshold must lie in [0.5, 1), got {threshold}")
+    check_threshold(threshold)
     demands = solo_demands(catalog)
     h = 0
     while h < len(demands) and demands[h] >= threshold:
@@ -91,23 +73,18 @@ def classify_heavy(catalog: ItemCatalog, threshold: float) -> tuple[int, ...]:
     return tuple(range(h))
 
 
-def hybrid_next(instance: OnlineInstance, state: InventoryState) -> PolicyDecision:
+def hybrid_next(instance: OnlineInstance, remaining: Sequence[int]) -> tuple[int, ...]:
     """Two-phase rule: heaviest available heavy item alone, else light bundle."""
     heavy = classify_heavy(instance.catalog, instance.threshold)
     for i in heavy:
-        if state.remaining[i] > 0:
-            return PolicyDecision(assortment=(i,), phase=PHASE_HEAVY)
-    h = len(heavy)
-    light = tuple(
-        i for i in range(h, len(instance.catalog)) if state.remaining[i] > 0
-    )
-    return PolicyDecision(assortment=light, phase=PHASE_LIGHT)
+        if remaining[i] > 0:
+            return (i,)
+    return tuple(i for i in range(len(heavy), len(instance.catalog)) if remaining[i] > 0)
 
 
-def greedy_all_next(instance: OnlineInstance, state: InventoryState) -> PolicyDecision:
+def greedy_all_next(instance: OnlineInstance, remaining: Sequence[int]) -> tuple[int, ...]:
     """Offer every item that still has stock."""
-    available = tuple(i for i, left in enumerate(state.remaining) if left > 0)
-    return PolicyDecision(assortment=available, phase=PHASE_GREEDY)
+    return tuple(i for i, left in enumerate(remaining) if left > 0)
 
 
 def exponential_weight(x: float) -> float:
@@ -118,7 +95,7 @@ def exponential_weight(x: float) -> float:
     return math.e / (math.e - 1.0) * -math.expm1(-x)
 
 
-def modified_hybrid_next(instance: OnlineInstance, state: InventoryState) -> PolicyDecision:
+def modified_hybrid_next(instance: OnlineInstance, remaining: Sequence[int]) -> tuple[int, ...]:
     """Hybrid rule re-thresholded on inventory-discounted heaviness.
 
     Item i's relative heaviness at time t is
@@ -129,13 +106,11 @@ def modified_hybrid_next(instance: OnlineInstance, state: InventoryState) -> Pol
     """
     demands = solo_demands(instance.catalog)
     capacities = instance.catalog.inventories
-    available = [i for i, left in enumerate(state.remaining) if left > 0]
+    available = tuple(i for i, left in enumerate(remaining) if left > 0)
     best = None
     best_rel = -1.0
     for i in available:
-        rel = exponential_weight(state.remaining[i] / capacities[i]) * demands[i]
+        rel = exponential_weight(remaining[i] / capacities[i]) * demands[i]
         if rel >= instance.threshold and rel > best_rel:
             best, best_rel = i, rel
-    if best is not None:
-        return PolicyDecision(assortment=(best,), phase=PHASE_MODIFIED)
-    return PolicyDecision(assortment=tuple(available), phase=PHASE_MODIFIED)
+    return available if best is None else (best,)

@@ -17,15 +17,16 @@ once, reads its cumulative demands and prices from two dense tables over
 every bitmask, built from the LP columns that ``solve_opt`` has already
 solved (2 * 2^n * (n + 1) * 8 bytes: 852 kB at 12 items, about 350 MB at
 the 20-item cap), and draws each buyer from column t of the replications'
-uniforms. Revenues are bit-identical to ``run_episode``, which remains the
-path for callable policies and recorded paths.
+uniforms. Revenues are bit-identical to ``run_episode``, which plays one
+replication step by step through the scalar ``POLICIES`` rules and records
+its path; the tests take it as the reference for the lockstep engine.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -39,9 +40,8 @@ from .equilibrium import (
 )
 from .lp import enumerate_columns, solve_opt
 from .policies import (
-    InventoryState,
     OnlineInstance,
-    PolicyDecision,
+    check_threshold,
     classify_heavy,
     exponential_weight,
     greedy_all_next,
@@ -50,7 +50,7 @@ from .policies import (
     solo_demands,
 )
 
-Policy = Callable[[OnlineInstance, InventoryState], PolicyDecision]
+Policy = Callable[[OnlineInstance, Sequence[int]], tuple[int, ...]]
 
 
 POLICIES: dict[str, Policy] = {
@@ -62,11 +62,11 @@ POLICIES: dict[str, Policy] = {
 
 @dataclass(frozen=True)
 class EpisodeResult:
-    """One simulated buyer stream: revenue, per-item sales, optional path."""
+    """One simulated buyer stream: revenue, per-item sales, (offer, pick) per step."""
 
     revenue: float
     sold_units: tuple[int, ...]
-    path: tuple[tuple[tuple[int, ...], int | None], ...] | None
+    path: tuple[tuple[tuple[int, ...], int | None], ...]
 
 
 @dataclass(frozen=True)
@@ -129,7 +129,6 @@ def run_episode(
     policy: Policy,
     instance: OnlineInstance,
     rng: np.random.Generator,
-    record_path: bool = True,
 ) -> EpisodeResult:
     """Simulate one buyer stream under a policy.
 
@@ -139,25 +138,19 @@ def run_episode(
     consumed per step, so path structure never desynchronizes the stream.
     """
     catalog = instance.catalog
-    state = InventoryState.fresh(instance)
+    remaining = list(catalog.inventories)
     revenue = 0.0
-    sold = [0] * len(catalog)
-    path: list[tuple[tuple[int, ...], int | None]] | None = [] if record_path else None
+    path = []
     for _ in range(instance.m):
-        decision = policy(instance, state)
-        outcome = equilibrium_outcome(catalog, decision.assortment)
+        assortment = policy(instance, remaining)
+        outcome = equilibrium_outcome(catalog, assortment)
         purchased = sample_choice(outcome, rng)
         if purchased is not None:
             revenue += outcome.prices[outcome.members.index(purchased)]
-            state.remaining[purchased] -= 1
-            sold[purchased] += 1
-        if path is not None:
-            path.append((decision.assortment, purchased))
-    return EpisodeResult(
-        revenue=revenue,
-        sold_units=tuple(sold),
-        path=tuple(path) if path is not None else None,
-    )
+            remaining[purchased] -= 1
+        path.append((assortment, purchased))
+    sold = tuple(c - left for c, left in zip(catalog.inventories, remaining))
+    return EpisodeResult(revenue=revenue, sold_units=sold, path=tuple(path))
 
 
 # The last uniform matrix drawn, read-only so that no caller can change
@@ -302,32 +295,30 @@ def _lockstep_revenues(name: str, instance: OnlineInstance, replications: int,
 
 
 def estimate_ratio(
-    policy: Policy | str,
+    name: str,
     instance: OnlineInstance,
     replications: int,
     seed: int,
 ) -> RatioEstimate:
     """Mean episode revenue over independent replications, divided by OPT.
 
-    Replication r always uses the (seed, r) stream. A policy named by a key
-    of ``POLICIES`` runs all replications in lockstep in this process; a
-    callable runs ``run_episode`` once per replication. Both give the same
-    revenues, bit for bit, and every replication runs in this process. The
-    LP optimum is solved first, so a catalog beyond its 20-item cap is
-    rejected before any episode runs.
+    ``name`` is a key of ``POLICIES``. Replication r always uses the (seed, r)
+    stream, and all replications run in lockstep in this process with the
+    revenues ``run_episode`` gives, bit for bit. Counts whose (replications,
+    buyers) matrix of doubles numpy cannot address are rejected first; then
+    the LP optimum is solved, so a catalog beyond its 20-item cap is rejected
+    before any episode runs.
     """
     if replications < 1:
         raise DomainError("need at least one replication")
-    if isinstance(policy, str) and policy not in POLICIES:
-        raise DomainError(f"unknown policy {policy!r}")
+    if not isinstance(name, str) or name not in POLICIES:
+        raise DomainError(f"unknown policy {name!r}")
+    # The engine's widest arrays are (replications, m) draws and
+    # (replications, n + 1) stock and demand rows, of 8-byte elements.
+    if replications * max(instance.m, len(instance.catalog) + 1) * 8 > np.iinfo(np.intp).max:
+        raise DomainError("replications x buyers exceed the doubles numpy can address")
     opt = solve_opt(instance.catalog, instance.m).objective if instance.m >= 1 else 0.0
-    if isinstance(policy, str):
-        arr = _lockstep_revenues(policy, instance, replications, seed)
-    else:
-        arr = np.array([
-            run_episode(policy, instance, episode_rng(seed, rep), record_path=False).revenue
-            for rep in range(replications)
-        ])
+    arr = _lockstep_revenues(name, instance, replications, seed)
     mean = float(arr.mean())
     se = float(arr.std(ddof=1) / math.sqrt(replications)) if replications > 1 else 0.0
     ratio = mean / opt if opt > 0 else math.nan
@@ -359,13 +350,14 @@ def _branch_value(lam: float, f: float, y: np.ndarray, x: np.ndarray) -> np.ndar
     )
 
 
-def _bound_numeric_branch(lam: float, coarse: float = 1e-3, fine: float = 1e-5) -> float:
+def _bound_numeric_branch(lam: float) -> float:
     """Numeric branch (buyers exceed inventory): min over y of max over x.
 
-    Coarse grid, then local refinement of both the inner argmax and the
-    outer argmin; the objective is smooth on the domain so two stages are
-    enough for the reported precision.
+    Coarse grid of step 1e-3, then local refinement at step 1e-5 of both the
+    inner argmax and the outer argmin; the objective is smooth on the domain
+    so two stages are enough for the reported precision.
     """
+    coarse, fine = 1e-3, 1e-5
     f = threshold_headroom(lam)
 
     def inner_max(y: float) -> float:
@@ -399,8 +391,7 @@ def hybrid_ratio_bound(lam: float) -> float:
     small-inventory branch at heaviness threshold lam in [0.5, 1).
     """
     lam = float(lam)
-    if not 0.5 <= lam < 1.0:
-        raise DomainError(f"threshold must lie in [0.5, 1), got {lam}")
+    check_threshold(lam)
     return min(_bound_closed_branch(lam), _bound_numeric_branch(lam))
 
 

@@ -113,7 +113,7 @@ class TestOptCommand:
 
 
 class TestSimulateCommand:
-    def make_config(self, tmp_path, **overrides):
+    def make_config(self, tmp_path, drop=(), **overrides):
         doc = {
             "schema": 1,
             "catalog": {"schema": 1, "qualities": [2.0, 0.5], "inventories": [2, 2]},
@@ -124,6 +124,8 @@ class TestSimulateCommand:
             "seed": 7,
         }
         doc.update(overrides)
+        for key in drop:
+            del doc[key]
         path = tmp_path / "config.json"
         path.write_text(json.dumps(doc))
         return str(path)
@@ -172,6 +174,58 @@ class TestSimulateCommand:
         {"seed": "x"},
     ])
     def test_unconvertible_field_exits_2(self, tmp_path, capsys, field):
+        cfg = self.make_config(tmp_path, **field)
+        assert_one_error_line(*run(["simulate", "--config", cfg], capsys))
+
+    @pytest.mark.parametrize("field, drop", [
+        ({"buyers_sweep": [2.7]}, ()),
+        ({"buyers_sweep": [4, True]}, ()),
+        ({"buyers": 2.5}, ("buyers_sweep",)),
+        ({"buyers": True}, ("buyers_sweep",)),
+        ({"replications": 40.5}, ()),
+        ({"replications": True}, ()),
+        ({"seed": 7.5}, ()),
+        ({"seed": False}, ()),
+        ({"seed": "7"}, ()),
+        ({"catalog": {"schema": 1, "qualities": [2.0, 0.5], "inventories": [2.7, 1]}}, ()),
+        ({"catalog": {"schema": 1, "qualities": [2.0, 0.5], "inventories": [True, 2]}}, ()),
+        ({"catalog": {"schema": 1, "qualities": [2.0, 0.5], "inventories": [1e999, 2]}}, ()),
+    ])
+    def test_non_whole_count_exits_2(self, tmp_path, capsys, field, drop):
+        cfg = self.make_config(tmp_path, drop=drop, **field)
+        assert_one_error_line(*run(["simulate", "--config", cfg], capsys))
+
+    def test_integral_floats_are_counts(self, tmp_path, capsys):
+        as_ints = run(["simulate", "--config", self.make_config(tmp_path)], capsys)
+        cfg = self.make_config(tmp_path, buyers_sweep=[4.0, 8.0], replications=40.0, seed=7.0,
+                               catalog={"schema": 1, "qualities": [2.0, 0.5], "inventories": [2.0, 2]})
+        assert run(["simulate", "--config", cfg], capsys) == as_ints
+
+    @pytest.mark.parametrize("policy", [[["hybrid"]], []])
+    def test_malformed_policy_exits_2(self, tmp_path, capsys, policy):
+        cfg = self.make_config(tmp_path, policy=policy)
+        assert_one_error_line(*run(["simulate", "--config", cfg], capsys))
+
+    @pytest.mark.parametrize("catalog_path", [True, ["catalog.json"]])
+    def test_non_string_catalog_path_exits_2(self, tmp_path, catalog_path):
+        # In a child process whose stdout is a pipe: open(True) opens file
+        # descriptor 1, fails to read it and closes it.
+        cfg = self.make_config(tmp_path, drop=("catalog",), catalog_path=catalog_path)
+        src = str(Path(mnlmarkets.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-m", "mnlmarkets.cli", "simulate", "--config", cfg],
+            capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert_one_error_line(proc.returncode, proc.stdout, proc.stderr)
+
+    # Shapes numpy rejects before allocating anything.
+    @pytest.mark.parametrize("field", [
+        {"buyers_sweep": [1e300]},
+        {"buyers_sweep": [2**62]},
+        {"replications": 1e300},
+        {"replications": 2**62},
+    ])
+    def test_unaddressable_counts_exit_2(self, tmp_path, capsys, field):
         cfg = self.make_config(tmp_path, **field)
         assert_one_error_line(*run(["simulate", "--config", cfg], capsys))
 
@@ -240,6 +294,12 @@ class TestNetworkCommand:
         assert code == 0
         assert "warning" in err
         assert json.loads(out)["consistent"] is False
+
+    @pytest.mark.parametrize("capacities", [[1.9], [True], [1e999]])
+    def test_non_whole_capacity_exits_2(self, tmp_path, capsys, capacities):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"schema": 1, "theta": [[2.0]], "capacities": capacities}))
+        assert_one_error_line(*run(["segment", str(path)], capsys))
 
     def test_deterministic(self, market_path, capsys):
         _, out1, _ = run(["network", market_path], capsys)

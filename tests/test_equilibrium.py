@@ -72,6 +72,13 @@ class TestCatalog:
         with pytest.raises(DomainError):
             ItemCatalog([1.0], [1], costs=[-0.1])
 
+    def test_inventories_must_be_whole(self):
+        for bad in (2.7, True, "2"):
+            with pytest.raises(DomainError, match="not a whole number"):
+                ItemCatalog([1.0, 2.0], [1, bad])
+        cat = ItemCatalog([1.0, 2.0], [np.int64(3), 2.0])
+        assert cat.inventories == (2, 3) and all(type(c) is int for c in cat.inventories)
+
 
 class TestSolveShare:
     def test_zero_maps_to_zero(self):

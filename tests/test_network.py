@@ -50,6 +50,12 @@ class TestMarketConstruction:
         with pytest.raises(DomainError):
             BipartiteMarket([[math.inf]])
 
+    def test_capacities_must_be_whole(self):
+        for bad in (1.9, True):
+            with pytest.raises(DomainError, match="not a whole number"):
+                BipartiteMarket([[1.0], [2.0]], capacities=[1, bad])
+        assert BipartiteMarket([[1.0]], capacities=[2.0]).capacities == (2,)
+
     def test_price_box(self):
         one_buyer = single_buyer_market([2.0])
         assert one_buyer.price_box() == 13.0

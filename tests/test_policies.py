@@ -7,7 +7,6 @@ import pytest
 
 from mnlmarkets.equilibrium import DomainError, ItemCatalog, solve_no_purchase
 from mnlmarkets.policies import (
-    InventoryState,
     OnlineInstance,
     classify_heavy,
     exponential_weight,
@@ -23,7 +22,7 @@ TEN_ITEM_QUALITIES = (3.0, 2.5, 2.0, 1.5, 1.0, 0.5, -0.5, -1.0, -1.5, -2.0)
 def two_item_instance(remaining, threshold=0.5, m=10):
     cat = ItemCatalog([2.0, 1.0], [2, 5])
     inst = OnlineInstance(catalog=cat, m=m, threshold=threshold)
-    return inst, InventoryState(remaining=list(remaining))
+    return inst, list(remaining)
 
 
 class TestClassifyHeavy:
@@ -65,41 +64,37 @@ class TestClassifyHeavy:
 
 class TestHybrid:
     def test_offers_heavy_singleton_first(self):
-        inst, state = two_item_instance([2, 5])
-        d = hybrid_next(inst, state)
-        assert d.assortment == (0,) and d.phase == "phase1"
+        inst, remaining = two_item_instance([2, 5])
+        assert hybrid_next(inst, remaining) == (0,)
 
     def test_bundles_lights_once_heavy_gone(self):
-        inst, state = two_item_instance([0, 5])
-        d = hybrid_next(inst, state)
-        assert d.assortment == (1,) and d.phase == "phase2"
+        inst, remaining = two_item_instance([0, 5])
+        assert hybrid_next(inst, remaining) == (1,)
 
     def test_empty_when_sold_out(self):
-        inst, state = two_item_instance([0, 0])
-        d = hybrid_next(inst, state)
-        assert d.assortment == () and d.phase == "phase2"
+        inst, remaining = two_item_instance([0, 0])
+        assert hybrid_next(inst, remaining) == ()
 
     def test_heavy_offered_in_quality_order(self):
         cat = ItemCatalog([3.0, 2.5, 2.0, 0.0], [1, 1, 1, 1])
         inst = OnlineInstance(catalog=cat, m=5, threshold=0.5)
-        state = InventoryState(remaining=[1, 1, 1, 1])
-        assert hybrid_next(inst, state).assortment == (0,)
-        state.remaining[0] = 0
-        assert hybrid_next(inst, state).assortment == (1,)
-        state.remaining[1] = 0
-        assert hybrid_next(inst, state).assortment == (2,)
-        state.remaining[2] = 0
-        assert hybrid_next(inst, state) == hybrid_next(inst, state)
-        assert hybrid_next(inst, state).assortment == (3,)
+        remaining = [1, 1, 1, 1]
+        assert hybrid_next(inst, remaining) == (0,)
+        remaining[0] = 0
+        assert hybrid_next(inst, remaining) == (1,)
+        remaining[1] = 0
+        assert hybrid_next(inst, remaining) == (2,)
+        remaining[2] = 0
+        assert hybrid_next(inst, remaining) == hybrid_next(inst, remaining)
+        assert hybrid_next(inst, remaining) == (3,)
 
 
 class TestGreedy:
     def test_offers_everything_in_stock(self):
-        inst, state = two_item_instance([1, 1])
-        assert greedy_all_next(inst, state).assortment == (0, 1)
-        inst, state = two_item_instance([0, 3])
-        assert greedy_all_next(inst, state).assortment == (1,)
-        assert greedy_all_next(inst, state).phase == "greedy"
+        inst, remaining = two_item_instance([1, 1])
+        assert greedy_all_next(inst, remaining) == (0, 1)
+        inst, remaining = two_item_instance([0, 3])
+        assert greedy_all_next(inst, remaining) == (1,)
 
     def test_full_set_maximizes_sale_probability(self):
         # With unit fixed revenues the step objective is 1 - q0(S), which
@@ -140,34 +135,27 @@ class TestModifiedHybrid:
             n = int(rng.integers(1, 7))
             cat = ItemCatalog(rng.uniform(-2, 3.5, n), rng.integers(1, 6, n))
             inst = OnlineInstance(catalog=cat, m=5, threshold=0.5)
-            state = InventoryState.fresh(inst)
-            base = hybrid_next(inst, state)
-            mod = modified_hybrid_next(inst, state)
-            assert mod.assortment == base.assortment
-            assert mod.phase == "modified"
+            full = cat.inventories
+            assert modified_hybrid_next(inst, full) == hybrid_next(inst, full)
 
     def test_depleted_heavy_item_demoted(self):
         # theta=2 has solo demand 0.5; at 10% stock its relative heaviness
         # is about 0.075, far below threshold, so it joins the bundle.
         cat = ItemCatalog([2.0, 0.0], [10, 5])
         inst = OnlineInstance(catalog=cat, m=5, threshold=0.5)
-        state = InventoryState(remaining=[1, 5])
-        d = modified_hybrid_next(inst, state)
-        assert d.assortment == (0, 1)
+        assert modified_hybrid_next(inst, [1, 5]) == (0, 1)
 
     def test_sold_out_gives_empty(self):
         cat = ItemCatalog([2.0, 0.0], [10, 5])
         inst = OnlineInstance(catalog=cat, m=5, threshold=0.5)
-        state = InventoryState(remaining=[0, 0])
-        assert modified_hybrid_next(inst, state).assortment == ()
+        assert modified_hybrid_next(inst, [0, 0]) == ()
 
     def test_picks_highest_relative_heaviness(self):
         # Both heavy at full stock, first one depleted below the second's
         # discounted heaviness.
         cat = ItemCatalog([3.0, 2.9], [10, 10])
         inst = OnlineInstance(catalog=cat, m=5, threshold=0.5)
-        state = InventoryState(remaining=[2, 10])
-        assert modified_hybrid_next(inst, state).assortment == (1,)
+        assert modified_hybrid_next(inst, [2, 10]) == (1,)
 
 
 class TestInstanceValidation:

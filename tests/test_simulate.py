@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from mnlmarkets.equilibrium import DomainError, ItemCatalog, equilibrium_outcome
-from mnlmarkets.policies import InventoryState, OnlineInstance, hybrid_next, solo_demands
+from mnlmarkets.policies import OnlineInstance, solo_demands
 from mnlmarkets.simulate import (
     POLICIES,
     adversarial_instance,
@@ -83,7 +83,7 @@ class TestRunEpisode:
         expected = 2.0 * (1.0 - 0.5 ** 10)
         reps = 2000
         revs = [
-            run_episode(POLICIES["hybrid"], inst, episode_rng(5, r), record_path=False).revenue
+            run_episode(POLICIES["hybrid"], inst, episode_rng(5, r)).revenue
             for r in range(reps)
         ]
         mean = float(np.mean(revs))
@@ -149,23 +149,25 @@ class TestEstimateRatio:
         assert est.ratio <= 1.0 + 3.0 * est.std_error / est.opt
         assert est.opt > 0 and est.replications == 400
 
-    def test_accepts_callable_policy(self):
-        cat = ItemCatalog([2.0], [1])
-        inst = OnlineInstance(cat, m=3, threshold=0.5)
-        est = estimate_ratio(POLICIES["greedy"], inst, replications=50, seed=2)
-        assert est.mean_revenue > 0
-
     def test_rejects_unknown_policy(self):
         cat = ItemCatalog([2.0], [1])
         inst = OnlineInstance(cat, m=1, threshold=0.5)
-        with pytest.raises(DomainError):
-            estimate_ratio("clairvoyant", inst, replications=1, seed=0)
+        for policy in ("clairvoyant", POLICIES["greedy"], ["hybrid"]):
+            with pytest.raises(DomainError, match="unknown policy"):
+                estimate_ratio(policy, inst, replications=1, seed=0)
+
+    def test_unaddressable_counts_rejected(self):
+        # Shapes numpy rejects before allocating anything.
+        cat = ItemCatalog([2.0], [1])
+        for m, replications in ((2**62, 1), (int(1e300), 1000), (0, 2**62), (3, int(1e300))):
+            with pytest.raises(DomainError, match="numpy can address"):
+                estimate_ratio("greedy", OnlineInstance(cat, m, 0.5), replications, seed=0)
 
 
 def scalar_revenues(name, inst, replications, seed):
     """The reference: one run_episode per replication."""
     return [
-        run_episode(POLICIES[name], inst, episode_rng(seed, rep), record_path=False).revenue
+        run_episode(POLICIES[name], inst, episode_rng(seed, rep)).revenue
         for rep in range(replications)
     ]
 
@@ -228,7 +230,7 @@ class TestLockstepBitIdentity:
             for name, policy in POLICIES.items():
                 masks = _MASK_RULES[name](inst)(states)
                 for stock, mask in zip(states.tolist(), masks.tolist()):
-                    offered = policy(inst, InventoryState(remaining=stock)).assortment
+                    offered = policy(inst, stock)
                     assert mask == sum(1 << i for i in offered), (name, threshold, stock)
 
     def test_threshold_near_one(self):
@@ -240,11 +242,14 @@ class TestLockstepBitIdentity:
         assert_lockstep_matches(OnlineInstance(cat, 25, 0.5), 60, 5)
 
     def test_estimate_equals_per_episode_path(self):
-        # A callable outside POLICIES takes the run_episode path.
+        # Mean and standard error as the estimator computes them, from the
+        # per-episode reference revenues.
         inst = OnlineInstance(ItemCatalog([2.0, 1.0, 0.5], [2, 2, 3]), 15, 0.5)
-        by_name = estimate_ratio("hybrid", inst, replications=80, seed=12)
-        by_episode = estimate_ratio(lambda i, s: hybrid_next(i, s), inst, replications=80, seed=12)
-        assert by_name == by_episode
+        est = estimate_ratio("hybrid", inst, replications=80, seed=12)
+        revenues = np.array(scalar_revenues("hybrid", inst, 80, 12))
+        assert est.mean_revenue == float(revenues.mean())
+        assert est.std_error == float(revenues.std(ddof=1) / math.sqrt(80))
+        assert est.ratio == est.mean_revenue / est.opt
 
     def test_oversized_catalog_rejected_before_episodes(self):
         cat = ItemCatalog(np.linspace(2.0, -2.0, 21), [1] * 21)
