@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 config or schema problem, 3 numeric or I/O failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -363,7 +364,11 @@ def cmd_adversary_demo(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later call
+    in the process (parsing leaves it unchanged), so in-process callers of
+    ``main`` do not rebuild the subcommand tree each time."""
     parser = argparse.ArgumentParser(
         prog="mnlmarkets",
         description="Bertrand-MNL equilibria, online assortment simulation, and market segmentation",

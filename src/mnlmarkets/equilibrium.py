@@ -31,6 +31,7 @@ once in numpy and gives the same bits (see its docstring).
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -57,6 +58,13 @@ def whole_number(value, what: str) -> int:
     if not whole:
         raise DomainError(f"{what}: {value!r} is not a whole number")
     return n
+
+
+def real_number(value, what: str) -> float:
+    """``float(value)``; DomainError for a boolean or anything that is not a real number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DomainError(f"{what}: {value!r} is not a number")
+    return float(value)
 
 
 _MAX_ITER = 200
@@ -87,7 +95,7 @@ class ItemCatalog:
     order: tuple[int, ...] = field(default=())
 
     def __init__(self, qualities, inventories, costs=None):
-        qualities = [float(t) for t in qualities]
+        qualities = [real_number(t, "qualities") for t in qualities]
         inventories = [whole_number(c, "inventories") for c in inventories]
         n = len(qualities)
         if n < 1:
@@ -99,7 +107,7 @@ class ItemCatalog:
         if any(c < 1 for c in inventories):
             raise DomainError("inventories must be >= 1")
         if costs is not None:
-            costs = [float(b) for b in costs]
+            costs = [real_number(b, "costs") for b in costs]
             if len(costs) != n:
                 raise DomainError("costs must match the number of items")
             if any(b < 0 or not math.isfinite(b) for b in costs):

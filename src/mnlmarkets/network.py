@@ -18,12 +18,13 @@ non-convergence is reported in the result rather than raised.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import DomainError, SolverError, _newton, whole_number
+from .equilibrium import DomainError, SolverError, _newton, real_number, whole_number
 
 CONSISTENT_SHARE_CAP = 0.91
 _BR_TOL = 1e-12
@@ -39,14 +40,14 @@ class BipartiteMarket:
     quality_cap: float
 
     def __init__(self, theta, visibility=None, capacities=None):
-        theta = np.array(theta, dtype=float)
+        theta = _real_matrix(theta)
         if theta.ndim != 2 or theta.size == 0:
             raise DomainError("theta must be a nonempty 2-d sellers x buyers matrix")
         n, m = theta.shape
         if visibility is None:
             visibility = np.ones((n, m), dtype=bool)
         else:
-            visibility = np.array(visibility, dtype=bool)
+            visibility = _flag_matrix(visibility)
             if visibility.shape != (n, m):
                 raise DomainError("visibility must match theta's shape")
         if capacities is None:
@@ -83,6 +84,32 @@ class BipartiteMarket:
         if self.buyers >= 2:
             box = max(box, self.quality_cap + math.log(self.buyers - 1))
         return box + 1.0
+
+
+def _real_matrix(values) -> np.ndarray:
+    """float64 copy of theta; DomainError for an entry that is a boolean or not a number."""
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iuf"):
+        values = np.array(values, dtype=object)  # a JSON true stays a bool here
+        for example in {type(x): x for x in values.flat}.values():
+            real_number(example, "theta")
+    return values.astype(float)
+
+
+def _flag_matrix(values) -> np.ndarray:
+    """Boolean copy of a visibility matrix.
+
+    Each entry must be true, false, 0 or 1, so that a JSON 0.5 or 2 is an
+    error rather than a visible pair.
+    """
+    message = "visibility entries must be true, false, 0 or 1"
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "biuf"):
+        values = np.array(values, dtype=object)
+        if not all(issubclass(kind, (numbers.Real, np.bool_)) for kind in {type(x) for x in values.flat}):
+            raise DomainError(message)
+    flags = values.astype(float)
+    if not np.all((flags == 0.0) | (flags == 1.0)):
+        raise DomainError(message)
+    return flags == 1.0
 
 
 @dataclass(frozen=True)

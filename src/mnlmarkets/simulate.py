@@ -9,7 +9,10 @@ that rules out constant-ratio online algorithms.
 Randomness contract: replication r of a run seeded with s draws from
 ``numpy.random.default_rng([s, r])``, an independent, platform-stable PCG64
 stream. Every episode step consumes exactly one uniform variate, so step t
-of replication r always sees the t-th double of that stream.
+of replication r always sees the t-th double of that stream. The engine
+seeds those streams in one batch: ``_stream_words`` runs numpy's
+``SeedSequence`` pool mixing for all replications at once, and each row's
+PCG64 starts from the words ``default_rng([s, r])`` would give it.
 
 ``estimate_ratio`` plays the replications of a named policy in lockstep in
 one process: step t decides an assortment bitmask for every replication at
@@ -25,10 +28,13 @@ its path; the tests take it as the reference for the lockstep engine.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .equilibrium import (
     DomainError,
@@ -153,6 +159,75 @@ def run_episode(
     return EpisodeResult(revenue=revenue, sold_units=sold, path=tuple(path))
 
 
+# numpy's SeedSequence constants: a pool of four uint32 words, filled and
+# stirred with hash constants that advance by multiplication whatever the
+# data, so one pass can mix every replication's pool at once.
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """(count + 1, 1) uint32 column: init, then each entry times mult mod 2^32."""
+    out = [init]
+    for _ in range(count):
+        out.append(out[-1] * mult & 0xFFFFFFFF)
+    return np.array(out, dtype=np.uint32)[:, None]
+
+
+def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of each row j, with hash constants j and j + 1."""
+    k = len(values)
+    mixed = (values ^ consts[:k]) * consts[1:k + 1]
+    return mixed ^ (mixed >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    mixed = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
+    return mixed ^ (mixed >> 16)
+
+
+def _stream_words(seed: int, replications: int) -> np.ndarray:
+    """(replications, 4) uint64; row r is SeedSequence([seed, r]).generate_state(4, np.uint64).
+
+    These are the words PCG64 takes from ``default_rng([seed, r])``. The
+    entropy is the seed's little-endian 32-bit words, then r (below 2^32),
+    zero-padded to the pool size; each step below is one of SeedSequence's
+    loops, with the rows that use distinct hash constants taken together.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
+    seed_words = [seed >> shift & 0xFFFFFFFF for shift in range(0, max(seed.bit_length(), 1), 32)]
+    k = len(seed_words)
+    entropy = np.zeros((max(k + 1, _POOL), replications), dtype=np.uint32)
+    entropy[:k] = np.array(seed_words, dtype=np.uint32)[:, None]
+    entropy[k] = np.arange(replications, dtype=np.uint32)
+    consts = _hash_constants(_INIT_A, _MULT_A, _POOL * len(entropy))  # one per hashmix
+    pool = _hashmix(entropy[:_POOL], consts)
+    used = _POOL
+    for src in range(_POOL):  # every pool word into every other
+        dst = [d for d in range(_POOL) if d != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[[src] * (_POOL - 1)], consts[used:]))
+        used += _POOL - 1
+    for src in range(_POOL, len(entropy)):  # entropy beyond the pool into every word
+        pool = _mix(pool, _hashmix(entropy[[src] * _POOL], consts[used:]))
+        used += _POOL
+    state = _hashmix(np.tile(pool, (2, 1)), _hash_constants(_INIT_B, _MULT_B, 2 * _POOL))
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
+
+
+class _StreamSeed(ISeedSequence):
+    """One replication's precomputed words, handed to PCG64 as its seed sequence."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words  # PCG64 asks for exactly these: 4 words of uint64
+
+
 # The last uniform matrix drawn, read-only so that no caller can change
 # another's draws.
 _uniforms: dict[tuple[int, int], np.ndarray] = {}
@@ -162,17 +237,19 @@ def episode_uniforms(seed: int, replications: int, m: int) -> np.ndarray:
     """Read-only (replications, m) matrix whose row r is episode_rng(seed, r).random(m).
 
     PCG64 gives the same doubles to one random(m) call as to m scalar draws,
-    so column t is what step t of each replication consumes. The last matrix
-    is kept, at the widest horizon asked for under its (seed, replications),
-    so the policies of one CLI row and the horizons of a buyer sweep share
-    its draws; a wider horizon draws it afresh.
+    so column t is what step t of each replication consumes. Each row's
+    PCG64 is seeded from ``_stream_words``, so the streams are
+    ``episode_rng``'s bit for bit without a SeedSequence per replication.
+    The last matrix is kept, at the widest horizon asked for under its
+    (seed, replications), so the policies of one CLI row and the horizons of
+    a buyer sweep share its draws; a wider horizon draws it afresh.
     """
     key = (int(seed), int(replications))
     draws = _uniforms.get(key)
     if draws is None or draws.shape[1] < m:
         draws = np.empty((replications, m))
-        for rep in range(replications):
-            draws[rep] = episode_rng(seed, rep).random(m)
+        for rep, words in enumerate(_stream_words(seed, replications)):
+            draws[rep] = np.random.Generator(np.random.PCG64(_StreamSeed(words))).random(m)
         draws.setflags(write=False)
         _uniforms.clear()
         _uniforms[key] = draws
@@ -294,6 +371,13 @@ def _lockstep_revenues(name: str, instance: OnlineInstance, replications: int,
     return revenue
 
 
+@lru_cache(maxsize=256)
+def _opt_objective(catalog: ItemCatalog, m: int) -> float:
+    """solve_opt(catalog, m).objective, kept so the policies of one CLI row
+    share one simplex solve; only the float is kept, not the 2^n masses."""
+    return solve_opt(catalog, m).objective
+
+
 def estimate_ratio(
     name: str,
     instance: OnlineInstance,
@@ -305,9 +389,10 @@ def estimate_ratio(
     ``name`` is a key of ``POLICIES``. Replication r always uses the (seed, r)
     stream, and all replications run in lockstep in this process with the
     revenues ``run_episode`` gives, bit for bit. Counts whose (replications,
-    buyers) matrix of doubles numpy cannot address are rejected first; then
-    the LP optimum is solved, so a catalog beyond its 20-item cap is rejected
-    before any episode runs.
+    buyers) matrix of doubles numpy cannot address are rejected first, then
+    more than 2^32 replications, whose index r would not be one 32-bit
+    seed word; then the LP optimum is solved (once per catalog and horizon),
+    so a catalog beyond its 20-item cap is rejected before any episode runs.
     """
     if replications < 1:
         raise DomainError("need at least one replication")
@@ -317,7 +402,9 @@ def estimate_ratio(
     # (replications, n + 1) stock and demand rows, of 8-byte elements.
     if replications * max(instance.m, len(instance.catalog) + 1) * 8 > np.iinfo(np.intp).max:
         raise DomainError("replications x buyers exceed the doubles numpy can address")
-    opt = solve_opt(instance.catalog, instance.m).objective if instance.m >= 1 else 0.0
+    if replications > 2**32:
+        raise DomainError("more than 2**32 replications: an index r must be one 32-bit seed word")
+    opt = _opt_objective(instance.catalog, instance.m) if instance.m >= 1 else 0.0
     arr = _lockstep_revenues(name, instance, replications, seed)
     mean = float(arr.mean())
     se = float(arr.std(ddof=1) / math.sqrt(replications)) if replications > 1 else 0.0

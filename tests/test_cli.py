@@ -229,6 +229,13 @@ class TestSimulateCommand:
         cfg = self.make_config(tmp_path, **field)
         assert_one_error_line(*run(["simulate", "--config", cfg], capsys))
 
+    def test_replications_beyond_stream_indices_exit_2(self, tmp_path, capsys):
+        # Addressable, but index 2**32 would need a second seed word.
+        cfg = self.make_config(tmp_path, replications=2**32 + 1)
+        code, out, err = run(["simulate", "--config", cfg], capsys)
+        assert_one_error_line(code, out, err)
+        assert "2**32" in err
+
 
 class TestGcurveCommand:
     def test_table_and_max_row(self, capsys):
@@ -273,6 +280,75 @@ class TestGcurveCommand:
             )
             maxima.append(float(out.strip().split("\n")[-1].split(",")[2]))
         assert abs(maxima[0] - maxima[1]) < 5e-4
+
+
+class TestNumericFields:
+    """Booleans and strings are not numbers, and visibility is a 0/1 flag."""
+
+    @pytest.mark.parametrize("field", [
+        {"qualities": [True, 0.5]},
+        {"qualities": ["2.0", 0.5]},
+        {"qualities": [None, 0.5]},
+        {"costs": [True, 0.0]},
+        {"costs": [0.1, "0"]},
+    ])
+    def test_non_numeric_catalog_entry_exits_2(self, tmp_path, capsys, field):
+        path = tmp_path / "cat.json"
+        path.write_text(json.dumps({**EXAMPLE_CATALOG, "costs": [0.1, 0.2], **field}))
+        assert_one_error_line(*run(["equilibrium", str(path), "--perishable"], capsys))
+
+    @pytest.mark.parametrize("field", [
+        {"theta": [[True, 0.5], [1.0, 1.5]]},
+        {"theta": [["2.0", 0.5], [1.0, 1.5]]},
+        {"theta": [[2.0, 0.5], [1.0]]},
+        {"visibility": [[1, 0.5], [1, 1]]},
+        {"visibility": [[2, 1], [1, 1]]},
+        {"visibility": [["true", True], [True, True]]},
+        {"visibility": [[None, True], [True, True]]},
+    ])
+    def test_non_numeric_market_entry_exits_2(self, tmp_path, capsys, field):
+        doc = {"schema": 1, "theta": [[2.0, 0.5], [1.0, 1.5]], "capacities": [1, 1], **field}
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        assert_one_error_line(*run(["network", str(path)], capsys))
+
+    def test_visibility_flags_read_alike(self, tmp_path, capsys):
+        outs = []
+        for vis in ([[True, True], [True, False]], [[1, 1], [1, 0]], [[1.0, True], [1, 0.0]]):
+            path = tmp_path / "m.json"
+            path.write_text(json.dumps({"schema": 1, "theta": [[2.0, 0.5], [1.0, 1.5]],
+                                        "visibility": vis, "capacities": [1, 1]}))
+            code, out, _ = run(["network", str(path)], capsys)
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1] == outs[2]
+
+
+class TestInProcessCalls:
+    def test_mixed_commands_match_fresh_processes(self, tmp_path, catalog_path, market_path, capsys):
+        # One process runs several commands in turn; each output must be the
+        # bytes a fresh interpreter writes for the same command.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "schema": 1, "catalog_path": catalog_path, "policy": ["hybrid", "modified"],
+            "threshold": 0.6, "buyers_sweep": [3, 7], "replications": 25, "seed": 2**40 + 3}))
+        commands = {
+            "simulate": ["simulate", "--config", str(config)],
+            "opt": ["opt", catalog_path, "--buyers", "3"],
+            "segment": ["segment", market_path, "--compare"],
+            "gcurve": ["gcurve", "--lo", "0.6", "--hi", "0.62", "--step", "0.01"],
+        }
+        src = str(Path(mnlmarkets.__file__).resolve().parent.parent)
+        for name in [*commands, "simulate", "opt"]:
+            out = tmp_path / f"{name}.in-process"
+            assert main([*commands[name], "--out", str(out)]) == 0
+            fresh = tmp_path / f"{name}.fresh"
+            subprocess.run(
+                [sys.executable, "-m", "mnlmarkets.cli", *commands[name], "--out", str(fresh)],
+                check=True, capture_output=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
+            )
+            assert out.read_bytes() == fresh.read_bytes(), name
+        capsys.readouterr()
 
 
 class TestNetworkCommand:

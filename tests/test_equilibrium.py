@@ -79,6 +79,16 @@ class TestCatalog:
         cat = ItemCatalog([1.0, 2.0], [np.int64(3), 2.0])
         assert cat.inventories == (2, 3) and all(type(c) is int for c in cat.inventories)
 
+    def test_qualities_and_costs_must_be_numbers(self):
+        for bad in (True, np.bool_(False), "2.0", None, [1.0]):
+            with pytest.raises(DomainError, match="not a number"):
+                ItemCatalog([1.0, bad], [1, 1])
+            with pytest.raises(DomainError, match="not a number"):
+                ItemCatalog([1.0, 2.0], [1, 1], costs=[0.1, bad])
+        cat = ItemCatalog([np.int64(1), np.float32(2.5), 3], [1, 1, 1], costs=[0, np.float64(0.5), 1])
+        assert cat.qualities == (3.0, 2.5, 1.0) and all(type(t) is float for t in cat.qualities)
+        assert cat.costs == (1.0, 0.5, 0.0)
+
 
 class TestSolveShare:
     def test_zero_maps_to_zero(self):

@@ -50,6 +50,25 @@ class TestMarketConstruction:
         with pytest.raises(DomainError):
             BipartiteMarket([[math.inf]])
 
+    def test_theta_entries_must_be_numbers(self):
+        for bad in (True, "1.0", None):
+            with pytest.raises(DomainError, match="not a number"):
+                BipartiteMarket([[1.0, bad]])
+        with pytest.raises(DomainError, match="not a number"):
+            BipartiteMarket(np.ones((1, 2), dtype=bool))
+        mkt = BipartiteMarket([[1, np.float32(0.5)]])
+        assert mkt.theta.dtype == float and mkt.theta.tolist() == [[1.0, 0.5]]
+
+    def test_visibility_entries_are_flags(self):
+        for bad in (0.5, 2, -1, "1", None, math.nan):
+            with pytest.raises(DomainError, match="true, false, 0 or 1"):
+                BipartiteMarket([[1.0, 2.0]], visibility=[[True, bad]])
+        with pytest.raises(DomainError, match="true, false, 0 or 1"):
+            BipartiteMarket([[1.0, 2.0]], visibility=np.array([[1.0, 0.5]]))
+        for flags in ([[True, False]], [[1, 0]], [[1.0, np.False_]], np.array([[1, 0]])):
+            mkt = BipartiteMarket([[1.0, 2.0]], visibility=flags)
+            assert mkt.visibility.dtype == bool and mkt.visibility.tolist() == [[True, False]]
+
     def test_capacities_must_be_whole(self):
         for bad in (1.9, True):
             with pytest.raises(DomainError, match="not a whole number"):

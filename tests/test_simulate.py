@@ -26,7 +26,10 @@ from mnlmarkets.simulate import (
     _MASK_RULES,
     _choice_tables,
     _lockstep_revenues,
+    _opt_objective,
+    _stream_words,
 )
+from mnlmarkets.lp import solve_opt
 
 E = math.e
 
@@ -155,6 +158,23 @@ class TestEstimateRatio:
         for policy in ("clairvoyant", POLICIES["greedy"], ["hybrid"]):
             with pytest.raises(DomainError, match="unknown policy"):
                 estimate_ratio(policy, inst, replications=1, seed=0)
+
+    def test_replications_beyond_stream_indices_rejected(self):
+        # 2**32 + 1 rows are addressable at m = 1, but index 2**32 is not one seed word.
+        inst = OnlineInstance(ItemCatalog([2.0], [1]), 1, 0.5)
+        with pytest.raises(DomainError, match="2\\*\\*32"):
+            estimate_ratio("greedy", inst, 2**32 + 1, seed=0)
+
+    def test_memoised_objective_is_solve_opt(self):
+        # Two items on the scalar column path, seven on the batched one.
+        cases = (([2.0, 0.5], [2, 2], 8),
+                 ([3.1, 1.0, -0.4, 0.2, 1.7, 2.2, 0.9], [1, 2, 3, 1, 2, 1, 4], 13))
+        for qualities, stock, m in cases:
+            cat = ItemCatalog(qualities, stock)
+            first = _opt_objective(cat, m)
+            assert first == solve_opt(cat, m).objective
+            assert _opt_objective(ItemCatalog(qualities, stock), m) is first
+            assert estimate_ratio("hybrid", OnlineInstance(cat, m, 0.5), 5, seed=1).opt == first
 
     def test_unaddressable_counts_rejected(self):
         # Shapes numpy rejects before allocating anything.
@@ -330,6 +350,45 @@ class TestEpisodeUniforms:
         assert np.shares_memory(wide, narrow)
         fresh = np.stack([episode_rng(44, rep).random(100) for rep in range(9)])
         assert np.array_equal(narrow, fresh)
+
+    def test_stream_words_are_seed_sequence_state(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        # Seeds below 2**96 are one to three 32-bit words, so with r the
+        # entropy fills at most the four-word pool.
+        @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+        @hypothesis.given(seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1),
+                                         st.integers(2**64, 2**96 - 1)),
+                          replications=st.integers(1, 600))
+        def check(seed, replications):
+            words = _stream_words(seed, replications)
+            assert words.dtype == np.uint64 and words.shape == (replications, 4)
+            for rep in range(replications):
+                expected = np.random.SeedSequence([seed, rep]).generate_state(4, np.uint64)
+                assert words[rep].tolist() == expected.tolist()
+
+        check()
+
+    def test_stream_words_beyond_the_pool(self):
+        # Seeds of four or more words push r past the pool into the last loop.
+        for seed in (2**96, 2**130 + 12345, 2**200 - 1):
+            words = _stream_words(seed, 40)
+            for rep in (0, 17, 39):
+                expected = np.random.SeedSequence([seed, rep]).generate_state(4, np.uint64)
+                assert words[rep].tolist() == expected.tolist()
+
+    def test_stream_words_reject_what_seed_sequence_rejects(self):
+        with pytest.raises(DomainError, match="seed must be >= 0"):
+            _stream_words(-1, 3)
+        with pytest.raises(TypeError):
+            _stream_words(1.5, 3)
+
+    def test_rows_are_the_streams_at_a_wide_count(self):
+        for seed in (0, 2**33 + 7):
+            draws = episode_uniforms(seed, 5000, 12)
+            for rep in (0, 1, 2047, 4999):
+                assert draws[rep].tolist() == episode_rng(seed, rep).random(12).tolist()
 
     def test_memo_is_read_only(self):
         draws = episode_uniforms(45, 4, 30)
