@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -30,9 +31,8 @@ from .equilibrium import (
 )
 from .lp import enumerate_columns, solve_opt, solve_opt_fixed_rev
 from .network import BipartiteMarket, check_consistency, solve_network_equilibrium
-from .policies import OnlineInstance
 from .segmentation import compare_segmented_vs_whole, segment_market
-from .simulate import POLICIES, adversarial_instance, always_offer_ratio, estimate_ratio, hybrid_ratio_bound
+from .simulate import POLICIES, adversarial_instance, always_offer_ratio, estimate_ratios, hybrid_ratio_bound
 
 SCHEMA_VERSION = 1
 SIMULATE_CSV_COLUMNS = (
@@ -228,30 +228,26 @@ def cmd_simulate(args) -> int:
         raise SchemaError(f"--workers must be >= 1, got {args.workers}")
 
     lines = [SIMULATE_CSV_COLUMNS]
-    experiment = 0
-    for policy in policies:
-        for threshold in thresholds:
-            for m in buyer_counts:
-                instance = OnlineInstance(catalog=catalog, m=m, threshold=threshold)
-                est = estimate_ratio(policy, instance, replications, seed)
-                lines.append(
-                    ",".join(
-                        [
-                            str(experiment),
-                            policy,
-                            fmt(threshold),
-                            str(m),
-                            str(replications),
-                            str(seed),
-                            fmt(est.opt),
-                            fmt(est.mean_revenue),
-                            fmt(est.std_error),
-                            fmt(est.ratio),
-                            fmt(est.std_error / est.opt if est.opt > 0 else math.nan),
-                        ]
-                    )
-                )
-                experiment += 1
+    rows = itertools.product(policies, thresholds, buyer_counts)
+    estimates = estimate_ratios(catalog, policies, thresholds, buyer_counts, replications, seed)
+    for experiment, ((policy, threshold, m), est) in enumerate(zip(rows, estimates)):
+        lines.append(
+            ",".join(
+                [
+                    str(experiment),
+                    policy,
+                    fmt(threshold),
+                    str(m),
+                    str(replications),
+                    str(seed),
+                    fmt(est.opt),
+                    fmt(est.mean_revenue),
+                    fmt(est.std_error),
+                    fmt(est.ratio),
+                    fmt(est.std_error / est.opt if est.opt > 0 else math.nan),
+                ]
+            )
+        )
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

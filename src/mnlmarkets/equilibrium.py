@@ -64,7 +64,10 @@ def real_number(value, what: str) -> float:
     """``float(value)``; DomainError for a boolean or anything that is not a real number."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise DomainError(f"{what}: {value!r} is not a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the double range
+        raise DomainError(f"{what}: an integer too large for a double") from None
 
 
 _MAX_ITER = 200

@@ -92,7 +92,10 @@ def _real_matrix(values) -> np.ndarray:
         values = np.array(values, dtype=object)  # a JSON true stays a bool here
         for example in {type(x): x for x in values.flat}.values():
             real_number(example, "theta")
-    return values.astype(float)
+    try:
+        return values.astype(float)
+    except OverflowError:  # an integer beyond the double range
+        raise DomainError("theta: an integer too large for a double") from None
 
 
 def _flag_matrix(values) -> np.ndarray:

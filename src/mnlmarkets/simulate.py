@@ -14,19 +14,27 @@ seeds those streams in one batch: ``_stream_words`` runs numpy's
 ``SeedSequence`` pool mixing for all replications at once, and each row's
 PCG64 starts from the words ``default_rng([s, r])`` would give it.
 
-``estimate_ratio`` plays the replications of a named policy in lockstep in
-one process: step t decides an assortment bitmask for every replication at
-once, reads its cumulative demands and prices from two dense tables over
-every bitmask, built from the LP columns that ``solve_opt`` has already
-solved (2 * 2^n * (n + 1) * 8 bytes: 852 kB at 12 items, about 350 MB at
-the 20-item cap), and draws each buyer from column t of the replications'
-uniforms. Revenues are bit-identical to ``run_episode``, which plays one
-replication step by step through the scalar ``POLICIES`` rules and records
-its path; the tests take it as the reference for the lockstep engine.
+``estimate_ratios`` plays every (policy, threshold) row of a config and all
+their replications in lockstep in one process, in one pass to the largest
+buyer count: step t decides an assortment bitmask per row and replication,
+reads its cumulative demands and prices from two dense tables over every
+bitmask, built from the LP columns that ``solve_opt`` has already solved
+(2 * 2^n * (n + 1) * 8 bytes: 852 kB at 12 items, about 350 MB at the
+20-item cap), and draws each buyer from column t of the replications'
+uniforms. A policy reads only the stock vector, never the buyer count, so
+the m-buyer episode of replication r is the first m steps of the longest
+one; the running revenue is reduced to its mean and standard error as the
+pass reaches each requested m. Every per-step operation is row-wise, so
+rows played together give the bits each gives alone, and revenues are
+bit-identical to ``run_episode``, which plays one replication step by step
+through the scalar ``POLICIES`` rules and records its path; the tests take
+it as the reference for the lockstep engine. ``estimate_ratio`` is the
+one-row case.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -339,43 +347,133 @@ def _choice_tables(catalog: ItemCatalog) -> tuple[np.ndarray, np.ndarray]:
     return cum, price
 
 
-def _lockstep_revenues(name: str, instance: OnlineInstance, replications: int,
-                      seed: int) -> np.ndarray:
-    """Revenue of replications 0..R-1 of a named policy, all played together.
+# Rows played in one pass are capped so that the widest per-step array, the
+# (rows, R, n + 1) comparison of draws with running demand sums, stays within
+# max(R * (n + 1), _FUSE_ELEMENTS) elements: once one row alone is that wide,
+# rows are played one at a time.
+_FUSE_ELEMENTS = 2**18
 
-    Element r equals run_episode(POLICIES[name], instance, episode_rng(seed, r)).revenue
-    bit for bit: the decisions are the scalar rules, each buyer picks the
-    first member whose cumulative demand exceeds its uniform, and revenue
-    adds the sale price (0.0 for no purchase) in step order. The two dense
-    ``_choice_tables`` (2 * 2^n * (n + 1) * 8 bytes, 852 kB at 12 items) are
-    built once per call; a pick is the catalog position, or n for no purchase.
+
+def _lockstep(rows: Sequence[tuple[str, float]], catalog: ItemCatalog,
+              horizons: Sequence[int], replications: int, seed: int,
+              reduce: Callable[[np.ndarray], object]) -> list[list]:
+    """reduce(revenues) of each (policy name, threshold) row at each horizon.
+
+    Returns [[reduce(revenues after h buyers) for h in horizons] for each
+    row], with ``horizons`` ascending. Element r of the (R,) revenues is
+    run_episode(POLICIES[name], OnlineInstance(catalog, h, threshold),
+    episode_rng(seed, r)).revenue bit for bit: the decisions are the scalar
+    rules, each buyer picks the first member whose cumulative demand exceeds
+    its uniform, and revenue adds the sale price (0.0 for no purchase) in
+    step order. ``reduce`` must not keep the vector, which later steps
+    overwrite. A pick is the catalog position, or n for no purchase.
     """
-    catalog = instance.catalog
+    top = horizons[-1]
+    if top == 0:
+        return [[reduce(np.zeros(replications)) for _ in horizons] for _ in rows]
     n = len(catalog)
-    revenue = np.zeros(replications)
-    if instance.m == 0:
-        return revenue
-    decide = _MASK_RULES[name](instance)
+    rules = [_MASK_RULES[name](OnlineInstance(catalog, top, threshold)) for name, threshold in rows]
     cum, price = _choice_tables(catalog)
-    draws = episode_uniforms(seed, replications, instance.m)
-    # Column n is where no-purchase draws take their unit from; it is never read.
-    stock_all = np.zeros((replications, n + 1), dtype=np.int64)
-    stock_all[:, :n] = catalog.inventories
-    stock, stock_flat = stock_all[:, :n], stock_all.reshape(-1)
-    row_start = np.arange(replications, dtype=np.int64) * (n + 1)
-    for t in range(instance.m):
-        masks = decide(stock)
-        pick = (draws[:, t, None] < cum[masks]).argmax(axis=1)
-        revenue += np.take(price, masks * (n + 1) + pick)
-        stock_flat[row_start + pick] -= 1
-    return revenue
+    draws = episode_uniforms(seed, replications, top)
+    width = max(1, _FUSE_ELEMENTS // (replications * (n + 1)))
+    out = []
+    for start in range(0, len(rules), width):
+        block = rules[start:start + width]
+        k = len(block)
+        revenue = np.zeros((k, replications))
+        masks = np.empty((k, replications), dtype=np.int64)
+        # Column n is where no-purchase draws take their unit from; it is never read.
+        stock_all = np.zeros((k, replications, n + 1), dtype=np.int64)
+        stock_all[..., :n] = catalog.inventories
+        stock, stock_flat = stock_all[..., :n], stock_all.reshape(-1)
+        row_start = np.arange(k * replications, dtype=np.int64).reshape(k, replications) * (n + 1)
+        snapshots = [[] for _ in block]
+        done = 0
+        for h in horizons:
+            for t in range(done, h):
+                for j, decide in enumerate(block):
+                    masks[j] = decide(stock[j])
+                pick = (draws[:, t, None] < cum[masks]).argmax(axis=2)
+                revenue += np.take(price, masks * (n + 1) + pick)
+                stock_flat[row_start + pick] -= 1
+            done = h
+            for kept, row in zip(snapshots, revenue):
+                kept.append(reduce(row))
+        out.extend(snapshots)
+    return out
 
 
 @lru_cache(maxsize=256)
 def _opt_objective(catalog: ItemCatalog, m: int) -> float:
-    """solve_opt(catalog, m).objective, kept so the policies of one CLI row
-    share one simplex solve; only the float is kept, not the 2^n masses."""
+    """solve_opt(catalog, m).objective, kept so the rows and calls of one
+    catalog and horizon share one simplex solve; only the float is kept."""
     return solve_opt(catalog, m).objective
+
+
+def _moments(revenue: np.ndarray) -> tuple[float, float]:
+    """Mean and standard error of one row's replication revenues."""
+    se = float(revenue.std(ddof=1) / math.sqrt(revenue.size)) if revenue.size > 1 else 0.0
+    return float(revenue.mean()), se
+
+
+def estimate_ratios(
+    catalog: ItemCatalog,
+    policies: Sequence[str],
+    thresholds: Sequence[float],
+    buyer_counts: Sequence[int],
+    replications: int,
+    seed: int,
+) -> list[RatioEstimate]:
+    """Ratio estimates of every (policy, threshold, buyers) row, in that order.
+
+    Rows run policy by policy, then threshold, then buyer count, as the CLI
+    prints them; each policy is a key of ``POLICIES``, and replication r
+    always uses the (seed, r) stream. Every row is checked before any
+    episode runs, in row order, so the first bad row raises: its instance,
+    its replication count and policy name, then counts whose (replications,
+    buyers) matrix of doubles numpy cannot address, then more than 2^32
+    replications, whose index r would not be one 32-bit seed word; then its
+    LP optimum is solved (once per catalog and buyer count), so a catalog
+    beyond the LP's 20-item cap is rejected before any episode runs.
+
+    One lockstep pass per block of (policy, threshold) rows then plays all
+    their replications to the largest buyer count and snapshots the revenue
+    at each buyer count on the way: policies read only the stock, so the
+    m-buyer episode of replication r is the first m steps of the longest,
+    and the snapshot is the m-buyer revenue bit for bit, equal to
+    ``run_episode``'s. Only the mean and standard error of each snapshot
+    are kept. A block fuses rows while its widest per-step array stays
+    within max(R * (n + 1), 2^18) elements.
+    """
+    rows = list(itertools.product(policies, thresholds))
+    opts = {}
+    for name, threshold in rows:
+        for m in buyer_counts:
+            OnlineInstance(catalog, m, threshold)  # checks m >= 0 and the threshold
+            if replications < 1:
+                raise DomainError("need at least one replication")
+            if not isinstance(name, str) or name not in POLICIES:
+                raise DomainError(f"unknown policy {name!r}")
+            # The engine's widest arrays are (replications, m) draws and
+            # (replications, n + 1) stock and demand rows, of 8-byte elements.
+            if replications * max(m, len(catalog) + 1) * 8 > np.iinfo(np.intp).max:
+                raise DomainError("replications x buyers exceed the doubles numpy can address")
+            if replications > 2**32:
+                raise DomainError("more than 2**32 replications: an index r must be one 32-bit seed word")
+            opts[m] = _opt_objective(catalog, m) if m >= 1 else 0.0
+    if not opts:  # no rows
+        return []
+    horizons = sorted(set(buyer_counts))
+    estimates = []
+    for snapshots in _lockstep(rows, catalog, horizons, replications, seed, _moments):
+        at = dict(zip(horizons, snapshots))
+        for m in buyer_counts:
+            mean, se = at[m]
+            opt = opts[m]
+            estimates.append(RatioEstimate(mean_revenue=mean, std_error=se, opt=opt,
+                                           ratio=mean / opt if opt > 0 else math.nan,
+                                           replications=replications))
+    return estimates
 
 
 def estimate_ratio(
@@ -386,31 +484,13 @@ def estimate_ratio(
 ) -> RatioEstimate:
     """Mean episode revenue over independent replications, divided by OPT.
 
-    ``name`` is a key of ``POLICIES``. Replication r always uses the (seed, r)
-    stream, and all replications run in lockstep in this process with the
-    revenues ``run_episode`` gives, bit for bit. Counts whose (replications,
-    buyers) matrix of doubles numpy cannot address are rejected first, then
-    more than 2^32 replications, whose index r would not be one 32-bit
-    seed word; then the LP optimum is solved (once per catalog and horizon),
-    so a catalog beyond its 20-item cap is rejected before any episode runs.
+    The one-row case of ``estimate_ratios``, with its checks: ``name`` is a
+    key of ``POLICIES``, replication r always uses the (seed, r) stream, and
+    all replications run in lockstep in this process with the revenues
+    ``run_episode`` gives, bit for bit.
     """
-    if replications < 1:
-        raise DomainError("need at least one replication")
-    if not isinstance(name, str) or name not in POLICIES:
-        raise DomainError(f"unknown policy {name!r}")
-    # The engine's widest arrays are (replications, m) draws and
-    # (replications, n + 1) stock and demand rows, of 8-byte elements.
-    if replications * max(instance.m, len(instance.catalog) + 1) * 8 > np.iinfo(np.intp).max:
-        raise DomainError("replications x buyers exceed the doubles numpy can address")
-    if replications > 2**32:
-        raise DomainError("more than 2**32 replications: an index r must be one 32-bit seed word")
-    opt = _opt_objective(instance.catalog, instance.m) if instance.m >= 1 else 0.0
-    arr = _lockstep_revenues(name, instance, replications, seed)
-    mean = float(arr.mean())
-    se = float(arr.std(ddof=1) / math.sqrt(replications)) if replications > 1 else 0.0
-    ratio = mean / opt if opt > 0 else math.nan
-    return RatioEstimate(mean_revenue=mean, std_error=se, opt=opt,
-                         ratio=ratio, replications=replications)
+    return estimate_ratios(instance.catalog, [name], [instance.threshold], [instance.m],
+                           replications, seed)[0]
 
 
 def threshold_headroom(lam: float) -> float:
@@ -490,7 +570,7 @@ def adversarial_instance(growth: float, horizon: int) -> HeterogeneousInstance:
     offered. Rejected if growth**horizon leaves double range.
     """
     growth = float(growth)
-    if growth <= 1.0:
+    if not growth > 1.0:  # also NaN
         raise DomainError(f"growth must exceed 1, got {growth}")
     if horizon < 1:
         raise DomainError("horizon must be at least 1")

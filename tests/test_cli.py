@@ -229,6 +229,21 @@ class TestSimulateCommand:
         cfg = self.make_config(tmp_path, **field)
         assert_one_error_line(*run(["simulate", "--config", cfg], capsys))
 
+    @pytest.mark.parametrize("field", [
+        {"threshold_sweep": [0.5], "buyers_sweep": [4, 2**62]},
+        {"threshold_sweep": [0.5, 0.3], "buyers_sweep": [4, 2**62]},
+        {"policy": ["hybrid", "greedy"], "threshold_sweep": [0.5, 0.3], "buyers_sweep": [4, 8]},
+    ], ids=["later-buyers", "buyers-before-threshold", "later-threshold"])
+    def test_first_failing_row_sets_the_error(self, tmp_path, capsys, field):
+        # Rows run policy, threshold, buyers; the first failing row's message
+        # is the one printed, although every row is checked before any runs.
+        cfg = self.make_config(tmp_path, drop=("threshold",), **field)
+        code, out, err = run(["simulate", "--config", cfg], capsys)
+        assert_one_error_line(code, out, err)
+        expected = ("threshold must lie in [0.5, 1), got 0.3" if field["buyers_sweep"] == [4, 8]
+                    else "replications x buyers exceed the doubles numpy can address")
+        assert err == f"error: {expected}\n"
+
     def test_replications_beyond_stream_indices_exit_2(self, tmp_path, capsys):
         # Addressable, but index 2**32 would need a second seed word.
         cfg = self.make_config(tmp_path, replications=2**32 + 1)
@@ -291,6 +306,8 @@ class TestNumericFields:
         {"qualities": [None, 0.5]},
         {"costs": [True, 0.0]},
         {"costs": [0.1, "0"]},
+        {"qualities": [10**400, 0.5]},  # an integer beyond the double range
+        {"costs": [10**400, 0.0]},
     ])
     def test_non_numeric_catalog_entry_exits_2(self, tmp_path, capsys, field):
         path = tmp_path / "cat.json"
@@ -305,6 +322,7 @@ class TestNumericFields:
         {"visibility": [[2, 1], [1, 1]]},
         {"visibility": [["true", True], [True, True]]},
         {"visibility": [[None, True], [True, True]]},
+        {"theta": [[10**400, 0.5], [1.0, 1.5]]},
     ])
     def test_non_numeric_market_entry_exits_2(self, tmp_path, capsys, field):
         doc = {"schema": 1, "theta": [[2.0, 0.5], [1.0, 1.5]], "capacities": [1, 1], **field}
@@ -429,6 +447,11 @@ class TestAdversaryDemo:
     def test_overflow_exits_2(self, capsys):
         code, _, _ = run(["adversary-demo", "--growth", "10", "--horizon", "400"], capsys)
         assert code == 2
+
+    def test_nan_growth_exits_2_with_its_own_message(self, capsys):
+        code, out, err = run(["adversary-demo", "--growth", "nan"], capsys)
+        assert_one_error_line(code, out, err)
+        assert err == "error: growth must exceed 1, got nan\n"
 
 
 class TestExtremeQualities:

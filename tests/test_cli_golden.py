@@ -31,6 +31,14 @@ SIMULATE = {"schema": 1, "catalog": CATALOG_5, "policy": ["hybrid", "greedy", "m
 SIMULATE_7 = {"schema": 1, "catalog": CATALOG_7, "policy": ["hybrid", "greedy", "modified"],
               "threshold_sweep": [0.5, 0.75], "buyers_sweep": [6, 20],
               "replications": 30, "seed": 17}
+# One lockstep pass per config: a threshold sweep, an unsorted buyer sweep
+# with a repeat and a zero, and a 9-unit item, so the 6-buyer modified rows
+# read a shallower weight table than the 20-buyer pass they are taken from.
+SIMULATE_SWEEP = {"schema": 1,
+                  "catalog": {"schema": 1, "qualities": [3.0, 2.4, 0.3, -0.8],
+                              "inventories": [9, 2, 4, 1]},
+                  "policy": ["hybrid", "greedy", "modified"], "threshold_sweep": [0.5, 0.58],
+                  "buyers_sweep": [20, 6, 20, 0], "replications": 25, "seed": 23}
 # Seller 1 sees four buyers with one unit, so its best response lifts the
 # price to capacity; seller 2 sees one buyer and stays stationary.
 MARKET = {"schema": 1,
@@ -52,6 +60,7 @@ CASES = {
     "opt-7-fixed-rev": ["opt", "{cat7}", "--buyers", "9", "--fixed-rev", FIXED_REV_7],
     "simulate": ["simulate", "--config", "{sim}"],
     "simulate-7": ["simulate", "--config", "{sim7}"],
+    "simulate-sweep": ["simulate", "--config", "{simsweep}"],
     "network": ["network", "{market}"],
     "segment": ["segment", "{market}", "--compare", "--csv", "{csv}"],
     "gcurve": ["gcurve", "--lo", "0.6", "--hi", "0.7", "--step", "0.01"],
@@ -72,6 +81,7 @@ GOLDEN = {
     "segment-csv": "f8e0eaa75fd616797519a41c24a888dfdb13c5c5e4c1ef8f9091aaf8db01636c",
     "simulate": "f52685e178dd556cfb9ea221120665a4f00f9c9ec1a2b3c3c6871263dcea5264",
     "simulate-7": "50dd2b44e1c8804922d9099f47f529a716213387a52c6a87aa53157fdb0e35a1",
+    "simulate-sweep": "63a7ec5587e18d89b1e2f40a76d4c7c7df4ce95be5ba447d92e48f6c0c6c5026",
 }
 
 
@@ -82,7 +92,7 @@ def _sha256(path) -> str:
 def _run_case(name: str, tmp_path) -> dict[str, str]:
     """Run one case; digest of its --out bytes (and of its CSV, if any)."""
     inputs = {"cat3": CATALOG_3, "cat5": CATALOG_5, "cat7": CATALOG_7,
-              "sim": SIMULATE, "sim7": SIMULATE_7, "market": MARKET}
+              "sim": SIMULATE, "sim7": SIMULATE_7, "simsweep": SIMULATE_SWEEP, "market": MARKET}
     paths = {}
     for key, doc in inputs.items():
         paths[key] = tmp_path / f"{key}.json"

@@ -18,6 +18,7 @@ from mnlmarkets.simulate import (
     episode_rng,
     episode_uniforms,
     estimate_ratio,
+    estimate_ratios,
     hybrid_ratio_bound,
     run_episode,
     sample_choice,
@@ -25,10 +26,11 @@ from mnlmarkets.simulate import (
     _bound_closed_branch,
     _MASK_RULES,
     _choice_tables,
-    _lockstep_revenues,
+    _lockstep,
     _opt_objective,
     _stream_words,
 )
+from mnlmarkets import simulate
 from mnlmarkets.lp import solve_opt
 
 E = math.e
@@ -192,10 +194,16 @@ def scalar_revenues(name, inst, replications, seed):
     ]
 
 
+def lockstep_revenues(inst, replications, seed, names=tuple(POLICIES)):
+    """The engine's revenues of each named policy, all played in one pass."""
+    rows = [(name, inst.threshold) for name in names]
+    snapshots = _lockstep(rows, inst.catalog, [inst.m], replications, seed, np.ndarray.tolist)
+    return {name: revenues for name, (revenues,) in zip(names, snapshots)}
+
+
 def assert_lockstep_matches(inst, replications, seed):
-    for name in POLICIES:
-        got = _lockstep_revenues(name, inst, replications, seed)
-        assert got.tolist() == scalar_revenues(name, inst, replications, seed), name
+    for name, got in lockstep_revenues(inst, replications, seed).items():
+        assert got == scalar_revenues(name, inst, replications, seed), name
 
 
 SWEEP_CATALOG = ItemCatalog([3.0, 2.5, 2.0, 1.5, 1.0, 0.5, -0.5, -1.0, -1.5, -2.0], [15] * 10)
@@ -223,8 +231,8 @@ class TestLockstepBitIdentity:
 
     def test_zero_buyers(self):
         inst = OnlineInstance(ItemCatalog([2.0, 0.5], [1, 1]), m=0, threshold=0.5)
-        for name in POLICIES:
-            assert _lockstep_revenues(name, inst, 5, 0).tolist() == [0.0] * 5
+        for got in lockstep_revenues(inst, 5, 0).values():
+            assert got == [0.0] * 5
 
     def test_single_unit_item(self):
         assert_lockstep_matches(OnlineInstance(ItemCatalog([2.0], [1]), 10, 0.5), 60, 1)
@@ -296,6 +304,96 @@ class TestLockstepBitIdentity:
         check()
 
 
+def reference_row(name, catalog, threshold, m, replications, seed):
+    """(mean, se, opt, ratio) of one row, computed from run_episode's revenues."""
+    revenues = np.array(scalar_revenues(name, OnlineInstance(catalog, m, threshold), replications, seed))
+    mean = float(revenues.mean())
+    se = float(revenues.std(ddof=1) / math.sqrt(replications)) if replications > 1 else 0.0
+    opt = solve_opt(catalog, m).objective if m >= 1 else 0.0
+    return (mean, se, opt, mean / opt if opt > 0 else math.nan)
+
+
+def bits(rows):
+    """The float64 bits of each value, so that == also pins NaN and -0.0."""
+    return np.array(rows, dtype=np.float64).view(np.int64).tolist()
+
+
+def estimate_rows(estimates):
+    return [(e.mean_revenue, e.std_error, e.opt, e.ratio) for e in estimates]
+
+
+# The 9-unit item outlasts a 6-buyer episode, so the 6-buyer modified rows
+# would build a weight table of depth 7, not the 10 of the 20-buyer pass.
+SWEEP_CASES = {
+    "threshold-and-buyer-sweep": (ItemCatalog([3.0, 2.4, 0.3, -0.8], [9, 2, 4, 1]),
+                                  tuple(POLICIES), (0.5, 0.58), (20, 6, 20, 0), 25, 23),
+    "batched-columns-one-replication": (
+        ItemCatalog([0.7, 1.9, -0.3, 1.1, 2.6, 0.1, 1.4], [1, 3, 2, 1, 2, 1, 2]),
+        ("modified", "hybrid"), (0.63,), (3, 15), 1, 5),
+    "repeated-rows": (ItemCatalog([2.2, 0.4], [4, 2]), ("greedy", "modified", "greedy"),
+                      (0.5, 0.5), (9, 1), 33, 8),
+}
+
+
+class TestEstimateRatios:
+    """Every row of a fused, horizon-snapshot pass equals its own per-episode reference."""
+
+    @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+    def test_rows_equal_per_row_episodes(self, case):
+        catalog, policies, thresholds, buyers, replications, seed = SWEEP_CASES[case]
+        estimates = estimate_ratios(catalog, policies, thresholds, buyers, replications, seed)
+        expected = [reference_row(name, catalog, lam, m, replications, seed)
+                    for name, lam, m in itertools.product(policies, thresholds, buyers)]
+        assert bits(estimate_rows(estimates)) == bits(expected)
+        assert all(e.replications == replications for e in estimates)
+
+    def test_estimate_ratio_is_the_one_row_case(self):
+        catalog, policies, thresholds, buyers, replications, seed = SWEEP_CASES["threshold-and-buyer-sweep"]
+        estimates = estimate_ratios(catalog, policies, thresholds, buyers, replications, seed)
+        alone = [estimate_ratio(name, OnlineInstance(catalog, m, lam), replications, seed)
+                 for name, lam, m in itertools.product(policies, thresholds, buyers)]
+        assert bits(estimate_rows(estimates)) == bits(estimate_rows(alone))
+
+    def test_fused_rows_equal_rows_played_alone(self, monkeypatch):
+        catalog, policies, thresholds, buyers, replications, seed = SWEEP_CASES["threshold-and-buyer-sweep"]
+        fused = estimate_ratios(catalog, policies, thresholds, buyers, replications, seed)
+        monkeypatch.setattr(simulate, "_FUSE_ELEMENTS", 1)  # one row per pass
+        alone = estimate_ratios(catalog, policies, thresholds, buyers, replications, seed)
+        assert bits(estimate_rows(fused)) == bits(estimate_rows(alone))
+
+    def test_first_failing_row_raises(self):
+        # Rows run policy, threshold, buyers: (hybrid, 0.5, 2**62) fails the
+        # address check before (hybrid, 0.3, 4) fails the threshold check.
+        cat = ItemCatalog([2.0, 0.5], [2, 2])
+        with pytest.raises(DomainError, match="numpy can address"):
+            estimate_ratios(cat, ["hybrid"], [0.5, 0.3], [4, 2**62], 5, 0)
+        with pytest.raises(DomainError, match="threshold must lie"):
+            estimate_ratios(cat, ["hybrid"], [0.5, 0.3], [4, 8], 5, 0)
+        with pytest.raises(DomainError, match="unknown policy"):
+            estimate_ratios(cat, ["hybrid", "oracle"], [0.5], [4, 8], 5, 0)
+        with pytest.raises(DomainError, match="nonnegative"):
+            estimate_ratios(cat, ["hybrid", "oracle"], [0.5], [4, -1], 5, 0)
+
+    def test_wide_replications_pass_one_row_at_a_time(self):
+        # R (n + 1) = 300,000 elements exceeds 2**18, so each of the six rows
+        # runs alone: the per-step arrays of one row, not of six. Draws,
+        # columns and LP objectives are cached by an untraced first call.
+        cat = ItemCatalog([2.5, 1.0, 0.2, -0.6], [3, 2, 2, 1])
+        replications = 60_000
+        args = (cat, tuple(POLICIES), (0.5, 0.6), (3, 1), replications, 4)
+        estimate_ratios(*args)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            estimate_ratios(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        one_row_array = replications * (len(cat) + 1) * 8
+        # One row at a time peaks near 4.3 arrays; two rows fused near 6.3, six near 17.6.
+        assert peak < 5.5 * one_row_array, f"peaked at {peak / one_row_array:.2f} row arrays"
+
+
 class TestChoiceTables:
     def test_rows_equal_equilibrium_outcomes(self):
         # Every mask of a 6-item catalog; mask 0 is the empty assortment.
@@ -321,11 +419,11 @@ class TestChoiceTables:
         # The columns are cached and numpy's lazy imports done by an untraced
         # first call, so only what the call itself allocates counts.
         inst = OnlineInstance(ItemCatalog(np.linspace(3.3, -1.7, 12), [2] * 12), 1, 0.5)
-        _lockstep_revenues("greedy", inst, 1, 0)
+        lockstep_revenues(inst, 1, 0, names=("greedy",))
         gc.collect()
         tracemalloc.start()
         try:
-            _lockstep_revenues("greedy", inst, 1, 0)
+            lockstep_revenues(inst, 1, 0, names=("greedy",))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
