@@ -14,7 +14,7 @@ and wins for mid-sized buyer streams, but gives up the last bit of price
 discipline when buyers are plentiful.
 """
 
-from mnlmarkets import ItemCatalog, OnlineInstance, classify_heavy, estimate_ratio, solo_demands
+from mnlmarkets import ItemCatalog, classify_heavy, estimate_ratios, solo_demands
 
 catalog = ItemCatalog(
     qualities=[3.0, 2.5, 2.0, 1.5, 1.0, 0.5, -0.5, -1.0, -1.5, -2.0],
@@ -30,17 +30,13 @@ print(f"heavy items at threshold {threshold}: positions {heavy}\n")
 replications = 500
 print(f"hybrid policy, {replications} replications per point:")
 print("buyers   OPT        revenue    ratio")
-for m in (100, 200, 300, 400, 500):
-    est = estimate_ratio(
-        "hybrid", OnlineInstance(catalog, m, threshold), replications, seed=1
-    )
+buyers = (100, 200, 300, 400, 500)
+for m, est in zip(buyers, estimate_ratios(catalog, ["hybrid"], [threshold], buyers, replications, seed=1)):
     print(f"{m:6d}   {est.opt:8.2f}   {est.mean_revenue:8.2f}   {est.ratio:.4f}")
 
 print("\ngreedy policy (offer everything in stock) on the same instance:")
-for m in (100, 300, 500):
-    est = estimate_ratio(
-        "greedy", OnlineInstance(catalog, m, threshold), replications, seed=2
-    )
+buyers = (100, 300, 500)
+for m, est in zip(buyers, estimate_ratios(catalog, ["greedy"], [threshold], buyers, replications, seed=2)):
     print(f"{m:6d}   {est.opt:8.2f}   {est.mean_revenue:8.2f}   {est.ratio:.4f}")
 
 # Inventory balancing: five strong items with deep stock, five weak items
@@ -52,8 +48,8 @@ catalog2 = ItemCatalog(
 )
 print("\nbase hybrid vs inventory-balanced hybrid (expected revenue):")
 print("buyers   hybrid     balanced   difference")
-for m in (25, 50, 75, 100, 125, 150):
-    base = estimate_ratio("hybrid", OnlineInstance(catalog2, m, 0.5), replications, seed=3)
-    mod = estimate_ratio("modified", OnlineInstance(catalog2, m, 0.5), replications, seed=3)
+buyers = (25, 50, 75, 100, 125, 150)
+rows = estimate_ratios(catalog2, ["hybrid", "modified"], [0.5], buyers, replications, seed=3)
+for m, base, mod in zip(buyers, rows[:len(buyers)], rows[len(buyers):]):
     diff = mod.mean_revenue - base.mean_revenue
     print(f"{m:6d}   {base.mean_revenue:8.2f}   {mod.mean_revenue:8.2f}   {diff:+8.2f}")

@@ -337,9 +337,7 @@ def cmd_segment(args) -> int:
             ("lower_bound", "" if seg.lower_bound is None else fmt(seg.lower_bound)),
             ("upper_bound", fmt(seg.upper_bound)),
         ]
-        text = ",".join(k for k, _ in row) + "\n" + ",".join(v for _, v in row) + "\n"
-        with open(args.csv, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        _emit(",".join(k for k, _ in row) + "\n" + ",".join(v for _, v in row) + "\n", args.csv)
     return 0
 
 

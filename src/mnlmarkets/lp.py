@@ -142,7 +142,8 @@ def simplex_solve(rows: np.ndarray, rhs: np.ndarray, objective: np.ndarray) -> S
 
     Requires rhs >= 0 so the slack basis is feasible. Dense tableau with
     Bland's rule (lowest-index entering and leaving variable), which cannot
-    cycle. Raises SolverError on an unbounded direction.
+    cycle. Raises SolverError on an unbounded direction, or when a pivot
+    overflows the floating range.
     """
     a = np.asarray(rows, dtype=float)
     b = np.asarray(rhs, dtype=float)
@@ -161,29 +162,35 @@ def simplex_solve(rows: np.ndarray, rhs: np.ndarray, objective: np.ndarray) -> S
     t[-1, :n] = -c
     basis = list(range(n, n + m))
 
-    for iteration in range(100_000):
-        red = t[-1, :-1]
-        entering_candidates = np.nonzero(red < -_PIVOT_TOL)[0]
-        if entering_candidates.size == 0:
-            break
-        j = int(entering_candidates[0])  # Bland: lowest index enters
-        col = t[:m, j]
-        positive = col > _PIVOT_TOL
-        if not positive.any():
-            raise SolverError("LP is unbounded")
-        ratios = np.full(m, np.inf)
-        ratios[positive] = t[:m, -1][positive] / col[positive]
-        best = ratios.min()
-        ties = np.nonzero(ratios <= best * (1 + 1e-12) + 1e-15)[0]
-        r = int(min(ties, key=lambda k: basis[k]))  # Bland: lowest basic index leaves
-        # Pivot on (r, j).
-        t[r] /= t[r, j]
-        for k in range(m + 1):
-            if k != r and t[k, j] != 0.0:
-                t[k] -= t[k, j] * t[r]
-        basis[r] = j
-    else:
-        raise SolverError("simplex iteration cap exceeded")
+    # Stop at the first overflow: an inf or nan entry leaves the ratio test
+    # without a valid leaving row.
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for iteration in range(100_000):
+                red = t[-1, :-1]
+                entering_candidates = np.nonzero(red < -_PIVOT_TOL)[0]
+                if entering_candidates.size == 0:
+                    break
+                j = int(entering_candidates[0])  # Bland: lowest index enters
+                col = t[:m, j]
+                positive = col > _PIVOT_TOL
+                if not positive.any():
+                    raise SolverError("LP is unbounded")
+                ratios = np.full(m, np.inf)
+                ratios[positive] = t[:m, -1][positive] / col[positive]
+                best = ratios.min()
+                ties = np.nonzero(ratios <= best * (1 + 1e-12) + 1e-15)[0]
+                r = int(min(ties, key=lambda k: basis[k]))  # Bland: lowest basic index leaves
+                # Pivot on (r, j).
+                t[r] /= t[r, j]
+                for k in range(m + 1):
+                    if k != r and t[k, j] != 0.0:
+                        t[k] -= t[k, j] * t[r]
+                basis[r] = j
+            else:
+                raise SolverError("simplex iteration cap exceeded")
+    except FloatingPointError as exc:
+        raise SolverError("LP values overflow the floating range") from exc
 
     x = np.zeros(n + m)
     x[basis] = t[:m, -1]
@@ -195,11 +202,15 @@ def simplex_solve(rows: np.ndarray, rhs: np.ndarray, objective: np.ndarray) -> S
     )
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=1)
 def enumerate_columns(catalog: ItemCatalog) -> ColumnSet:
     """Solve every nonempty assortment and store it as an LP column.
 
-    Capped at 20 items (about a million columns) to bound memory. Columns
+    Only the last catalog's columns are kept: a command reuses the columns
+    of the one catalog it works on (``opt`` solves and then lists the
+    support, ``simulate`` solves and then builds its choice tables), and
+    at the 20-item cap one set takes 168 MB. Capped at 20 items (about a
+    million columns) to bound memory. Columns
     are ordered by subset bitmask, which fixes the LP column order and hence
     the reported masses. From _BATCH_MIN_ITEMS items on, all masks are
     solved together by ``_solve_masks``, in blocks that bound its

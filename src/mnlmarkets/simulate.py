@@ -30,6 +30,11 @@ bit-identical to ``run_episode``, which plays one replication step by step
 through the scalar ``POLICIES`` rules and records its path; the tests take
 it as the reference for the lockstep engine. ``estimate_ratio`` is the
 one-row case.
+
+The module keeps nothing between calls. Each config draws its uniforms
+afresh and solves the LP once per buyer count it asks for; the columns it
+reads twice, for the LP and for the choice tables, are the one catalog that
+``lp.enumerate_columns`` keeps.
 """
 
 from __future__ import annotations
@@ -38,7 +43,6 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -236,32 +240,20 @@ class _StreamSeed(ISeedSequence):
         return self.words  # PCG64 asks for exactly these: 4 words of uint64
 
 
-# The last uniform matrix drawn, read-only so that no caller can change
-# another's draws.
-_uniforms: dict[tuple[int, int], np.ndarray] = {}
-
-
 def episode_uniforms(seed: int, replications: int, m: int) -> np.ndarray:
-    """Read-only (replications, m) matrix whose row r is episode_rng(seed, r).random(m).
+    """A fresh (replications, m) matrix whose row r is episode_rng(seed, r).random(m).
 
     PCG64 gives the same doubles to one random(m) call as to m scalar draws,
     so column t is what step t of each replication consumes. Each row's
     PCG64 is seeded from ``_stream_words``, so the streams are
     ``episode_rng``'s bit for bit without a SeedSequence per replication.
-    The last matrix is kept, at the widest horizon asked for under its
-    (seed, replications), so the policies of one CLI row and the horizons of
-    a buyer sweep share its draws; a wider horizon draws it afresh.
+    ``estimate_ratios`` draws one matrix per config, to its largest buyer
+    count, and every row and horizon of the config reads it.
     """
-    key = (int(seed), int(replications))
-    draws = _uniforms.get(key)
-    if draws is None or draws.shape[1] < m:
-        draws = np.empty((replications, m))
-        for rep, words in enumerate(_stream_words(seed, replications)):
-            draws[rep] = np.random.Generator(np.random.PCG64(_StreamSeed(words))).random(m)
-        draws.setflags(write=False)
-        _uniforms.clear()
-        _uniforms[key] = draws
-    return draws[:, :m]
+    draws = np.empty((replications, m))
+    for rep, words in enumerate(_stream_words(seed, replications)):
+        draws[rep] = np.random.Generator(np.random.PCG64(_StreamSeed(words))).random(m)
+    return draws
 
 
 # Vectorised forms of the POLICIES rules. Each builds, for one instance, a
@@ -403,13 +395,6 @@ def _lockstep(rows: Sequence[tuple[str, float]], catalog: ItemCatalog,
     return out
 
 
-@lru_cache(maxsize=256)
-def _opt_objective(catalog: ItemCatalog, m: int) -> float:
-    """solve_opt(catalog, m).objective, kept so the rows and calls of one
-    catalog and horizon share one simplex solve; only the float is kept."""
-    return solve_opt(catalog, m).objective
-
-
 def _moments(revenue: np.ndarray) -> tuple[float, float]:
     """Mean and standard error of one row's replication revenues."""
     se = float(revenue.std(ddof=1) / math.sqrt(revenue.size)) if revenue.size > 1 else 0.0
@@ -432,9 +417,10 @@ def estimate_ratios(
     episode runs, in row order, so the first bad row raises: its instance,
     its replication count and policy name, then counts whose (replications,
     buyers) matrix of doubles numpy cannot address, then more than 2^32
-    replications, whose index r would not be one 32-bit seed word; then its
-    LP optimum is solved (once per catalog and buyer count), so a catalog
-    beyond the LP's 20-item cap is rejected before any episode runs.
+    replications, whose index r would not be one 32-bit seed word; then,
+    the first time a row reaches its buyer count, the LP optimum at that
+    count is solved, and the later rows read it back, so a catalog beyond
+    the LP's 20-item cap is rejected before any episode runs.
 
     One lockstep pass per block of (policy, threshold) rows then plays all
     their replications to the largest buyer count and snapshots the revenue
@@ -460,7 +446,8 @@ def estimate_ratios(
                 raise DomainError("replications x buyers exceed the doubles numpy can address")
             if replications > 2**32:
                 raise DomainError("more than 2**32 replications: an index r must be one 32-bit seed word")
-            opts[m] = _opt_objective(catalog, m) if m >= 1 else 0.0
+            if m not in opts:
+                opts[m] = solve_opt(catalog, m).objective if m >= 1 else 0.0
     if not opts:  # no rows
         return []
     horizons = sorted(set(buyer_counts))

@@ -5,12 +5,14 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 import mnlmarkets
 from mnlmarkets.cli import main
+from mnlmarkets.lp import enumerate_columns
 
 EXAMPLE_CATALOG = {"schema": 1, "qualities": [1.0, 2.0], "inventories": [1, 1]}
 
@@ -110,6 +112,31 @@ class TestOptCommand:
             ["opt", catalog_path, "--buyers", "1", "--fixed-rev", fixed_rev], capsys
         )
         assert_one_error_line(code, out, err)
+
+    def test_overflowing_fixed_rev_exits_3(self, catalog_path, capsys):
+        # 1e308 per sale overflows a simplex pivot; 1e200 stays in range.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's overflow warning must not leak
+            code, out, err = run(["opt", catalog_path, "--buyers", "5", "--fixed-rev", "1e308,1e308"], capsys)
+            assert code == 3 and out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+            code, out, _ = run(["opt", catalog_path, "--buyers", "5", "--fixed-rev", "1e200,1e200"], capsys)
+        assert code == 0
+        assert math.isfinite(json.loads(out)["objective"])
+
+    def test_columns_of_one_catalog_are_kept(self, tmp_path, catalog_path, capsys):
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps({"schema": 1, "qualities": [0.5, 1.5, 2.5], "inventories": [1, 2, 3]}))
+        for path in (catalog_path, str(other)):
+            assert run(["opt", path, "--buyers", "3"], capsys)[0] == 0
+        assert enumerate_columns.cache_info().currsize == 1
+
+    def test_fixed_rev_after_opt_reuses_the_columns(self, catalog_path, capsys):
+        assert run(["opt", catalog_path, "--buyers", "3"], capsys)[0] == 0
+        before = enumerate_columns.cache_info()
+        assert run(["opt", catalog_path, "--buyers", "3", "--fixed-rev", "1,2"], capsys)[0] == 0
+        after = enumerate_columns.cache_info()
+        assert after.misses == before.misses and after.hits > before.hits
 
 
 class TestSimulateCommand:

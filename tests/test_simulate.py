@@ -27,7 +27,6 @@ from mnlmarkets.simulate import (
     _MASK_RULES,
     _choice_tables,
     _lockstep,
-    _opt_objective,
     _stream_words,
 )
 from mnlmarkets import simulate
@@ -167,16 +166,18 @@ class TestEstimateRatio:
         with pytest.raises(DomainError, match="2\\*\\*32"):
             estimate_ratio("greedy", inst, 2**32 + 1, seed=0)
 
-    def test_memoised_objective_is_solve_opt(self):
+    def test_objective_is_solve_opt(self):
         # Two items on the scalar column path, seven on the batched one.
         cases = (([2.0, 0.5], [2, 2], 8),
                  ([3.1, 1.0, -0.4, 0.2, 1.7, 2.2, 0.9], [1, 2, 3, 1, 2, 1, 4], 13))
         for qualities, stock, m in cases:
             cat = ItemCatalog(qualities, stock)
-            first = _opt_objective(cat, m)
-            assert first == solve_opt(cat, m).objective
-            assert _opt_objective(ItemCatalog(qualities, stock), m) is first
-            assert estimate_ratio("hybrid", OnlineInstance(cat, m, 0.5), 5, seed=1).opt == first
+            expected = solve_opt(cat, m).objective
+            assert estimate_ratio("hybrid", OnlineInstance(cat, m, 0.5), 5, seed=1).opt == expected
+            # Every row reports the optimum at its buyer count; an equal catalog gives the same.
+            rows = estimate_ratios(ItemCatalog(qualities, stock), ["hybrid", "greedy"], [0.5, 0.6],
+                                   [m, 1, m], 5, seed=1)
+            assert [row.opt for row in rows] == [expected, solve_opt(cat, 1).objective, expected] * 4
 
     def test_unaddressable_counts_rejected(self):
         # Shapes numpy rejects before allocating anything.
@@ -374,10 +375,25 @@ class TestEstimateRatios:
         with pytest.raises(DomainError, match="nonnegative"):
             estimate_ratios(cat, ["hybrid", "oracle"], [0.5], [4, -1], 5, 0)
 
+    def test_sweep_solves_each_buyer_count_once(self, monkeypatch):
+        cat = ItemCatalog([2.0, 0.5, -0.3], [2, 2, 1])
+        calls = []
+
+        def counted(catalog, m):
+            calls.append(m)
+            return solve_opt(catalog, m)
+
+        monkeypatch.setattr(simulate, "solve_opt", counted)
+        buyers = [20, 6, 20, 0]
+        estimates = estimate_ratios(cat, ["hybrid", "greedy"], [0.5, 0.6], buyers, 5, seed=0)
+        assert calls == [20, 6]
+        assert [e.opt for e in estimates] == [solve_opt(cat, 20).objective, solve_opt(cat, 6).objective,
+                                              solve_opt(cat, 20).objective, 0.0] * 4
+
     def test_wide_replications_pass_one_row_at_a_time(self):
         # R (n + 1) = 300,000 elements exceeds 2**18, so each of the six rows
-        # runs alone: the per-step arrays of one row, not of six. Draws,
-        # columns and LP objectives are cached by an untraced first call.
+        # runs alone: the per-step arrays of one row, not of six. The columns
+        # are cached by an untraced first call; the draws are made afresh.
         cat = ItemCatalog([2.5, 1.0, 0.2, -0.6], [3, 2, 2, 1])
         replications = 60_000
         args = (cat, tuple(POLICIES), (0.5, 0.6), (3, 1), replications, 4)
@@ -390,7 +406,8 @@ class TestEstimateRatios:
         finally:
             tracemalloc.stop()
         one_row_array = replications * (len(cat) + 1) * 8
-        # One row at a time peaks near 4.3 arrays; two rows fused near 6.3, six near 17.6.
+        # One row at a time peaks near 4.9 arrays, 0.6 of them the draws; two
+        # rows fused near 6.9, six near 18.2.
         assert peak < 5.5 * one_row_array, f"peaked at {peak / one_row_array:.2f} row arrays"
 
 
@@ -442,12 +459,11 @@ class TestEpisodeUniforms:
         for rep in range(7):
             assert draws[rep].tolist() == episode_rng(31, rep).random(40).tolist()
 
-    def test_shorter_horizon_is_a_slice_of_the_memo(self):
+    def test_calls_share_no_memory(self):
         wide = episode_uniforms(44, 9, 500)
         narrow = episode_uniforms(44, 9, 100)
-        assert np.shares_memory(wide, narrow)
-        fresh = np.stack([episode_rng(44, rep).random(100) for rep in range(9)])
-        assert np.array_equal(narrow, fresh)
+        assert not np.shares_memory(wide, narrow)
+        assert np.array_equal(narrow, wide[:, :100])
 
     def test_stream_words_are_seed_sequence_state(self):
         hypothesis = pytest.importorskip("hypothesis")
@@ -487,14 +503,6 @@ class TestEpisodeUniforms:
             draws = episode_uniforms(seed, 5000, 12)
             for rep in (0, 1, 2047, 4999):
                 assert draws[rep].tolist() == episode_rng(seed, rep).random(12).tolist()
-
-    def test_memo_is_read_only(self):
-        draws = episode_uniforms(45, 4, 30)
-        assert not draws.flags.writeable
-        with pytest.raises(ValueError):
-            draws[0, 0] = 0.5
-        with pytest.raises(ValueError):
-            draws.setflags(write=True)
 
 
 class TestRatioBound:
