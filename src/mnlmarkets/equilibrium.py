@@ -320,14 +320,14 @@ def _sequential_sum(values: Iterable[float]) -> float:
     return total
 
 
-def _libm(fn, a: np.ndarray) -> np.ndarray:
-    """``fn`` (a ``math`` function) applied to each element of a 1-D array.
+def _libm(fn, values: list[float]) -> np.ndarray:
+    """``fn`` (a ``math`` function) applied to each float of a list, as an array.
 
     numpy's vectorized exp, log and log1p differ from libm in the last bit
     on a few percent of arguments, so the batched solvers call libm one
     element at a time to keep every iterate equal to the scalar solver's.
     """
-    return np.fromiter(map(fn, a.tolist()), float, a.size)
+    return np.fromiter(map(fn, values), float, len(values))
 
 
 def _shares_from_log(lx: np.ndarray) -> np.ndarray:
@@ -339,7 +339,7 @@ def _shares_from_log(lx: np.ndarray) -> np.ndarray:
     """
     w = lx.copy()
     small = lx <= 1.0
-    w[small] = _libm(math.exp, lx[small])
+    w[small] = _libm(math.exp, lx[small].tolist())
     y = np.zeros_like(lx)  # where exp(lx) underflows to 0.0 the root is 0.0
     act = np.flatnonzero(w != 0.0)
     w, lx = w[act], lx[act]
@@ -347,7 +347,8 @@ def _shares_from_log(lx: np.ndarray) -> np.ndarray:
     for _ in range(_MAX_ITER):
         if not act.size:
             break
-        f = w + _libm(math.log, w) - _libm(math.log1p, w) - lx
+        values = w.tolist()
+        f = w + _libm(math.log, values) - _libm(math.log1p, values) - lx
         up = f > 0.0
         hi = np.where(up, w, hi)
         lo = np.where(up, lo, w)
@@ -373,22 +374,22 @@ def _solve_mask_block(theta: np.ndarray, masks: np.ndarray) -> tuple[np.ndarray,
     member = (masks[:, None] >> np.arange(n) & 1).astype(bool)
     k = masks.size
     q0, lo, hi = np.full(k, 0.5), np.zeros(k), np.ones(k)
-    lq = np.full(k, math.log(0.5))
+    lq = np.empty(k)  # ln q0 of each mask's latest round
     shares = np.zeros((k, n))  # each mask's shares at its latest q0
-    # Every mask starts at q0 = 0.5, so the first round's shares depend
-    # only on the item: solve those n once.
-    first = _shares_from_log(math.log(0.5) + off)
     act = np.arange(k)
-    for round_ in range(_Q0_MAX_ITER):
+    for _ in range(_Q0_MAX_ITER):
         m = member[act]
         qa = q0[act]
-        if round_ == 0:
-            y = np.where(m, first, 0.0)
-        else:
-            lqa = lq[act] = _libm(math.log, qa)
-            rows, cols = np.nonzero(m)
-            y = np.zeros(m.shape)
-            y[rows, cols] = _shares_from_log(lqa[rows] + off[cols])
+        # One ln q0 per distinct q0, one share per (q0, member item).
+        distinct, at = np.unique(qa, return_inverse=True)
+        ln_q0 = _libm(math.log, distinct.tolist())
+        lq[act] = ln_q0[at]
+        rows, cols = np.nonzero(m)
+        needed = np.zeros((distinct.size, n), dtype=bool)
+        needed[at[rows], cols] = True
+        table = np.zeros(needed.shape)
+        table[needed] = _shares_from_log((ln_q0[:, None] + off)[needed])
+        y = np.where(m, table[at], 0.0)
         shares[act] = y
         w = y / (1.0 - y)
         term = y / (qa[:, None] * (1.0 + w * (1.0 + w)))
@@ -432,7 +433,11 @@ def _solve_masks(qualities: Sequence[float], masks: np.ndarray) -> tuple[np.ndar
     solver's iterate sequence: the no-purchase Newton with its bracket,
     bisection and stop rules over a shrinking set of active masks, and
     inside each round the share Newton of _shares_from_log over the member
-    entries. numpy does the control flow and all + - * / and comparisons,
+    entries. Masks that reach a round at the same q0 take one ln q0 and
+    solve each member item's share once: a share depends only on
+    ln q0 + (theta_i - 1), so sharing it cannot move a bit, and in the
+    first rounds, whose q0 are 0.5 and the bisection points, it skips most
+    solves. numpy does the control flow and all + - * / and comparisons,
     which are IEEE-exact; every exp, log and log1p is a libm call per
     element (see _libm). Sums add in member order from the same start.
     Masks are solved in blocks of _MASK_BLOCK to bound the temporaries.

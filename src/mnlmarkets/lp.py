@@ -24,12 +24,16 @@ flow and the exact + - * /, libm per element for exp, log and log1p), so
 both paths give the same bits; smaller catalogs run the scalar solver per
 mask, where batching costs more than it saves.
 
-The LP is solved by a dense-tableau simplex with Bland's anti-cycling rule;
-scales here are tiny (n + 1 rows), so determinism beats speed.
+The LP is solved by a dense-tableau simplex with Bland's anti-cycling rule.
+The tableau has n + 2 rows but one column per assortment, so a pivot costs
+its row updates over the full width plus a fixed interpreter cost that the
+loop keeps to a few numpy calls. A rule that pivots fewer times would reach
+the optimum through other roundings, and the reported bits would change.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
@@ -121,12 +125,13 @@ class ColumnSet:
 
 @dataclass(frozen=True)
 class LpSolution:
-    """Optimal collapsed-LP point: objective, column masses, row duals."""
+    """Optimal collapsed-LP point: objective, column masses, row duals, pivots made."""
 
     objective: float
     masses: tuple[float, ...]
     inventory_duals: tuple[float, ...]
     mass_dual: float
+    iterations: int
 
 
 @dataclass(frozen=True)
@@ -144,6 +149,12 @@ def simplex_solve(rows: np.ndarray, rhs: np.ndarray, objective: np.ndarray) -> S
     Bland's rule (lowest-index entering and leaving variable), which cannot
     cycle. Raises SolverError on an unbounded direction, or when a pivot
     overflows the floating range.
+
+    Each pivot costs a few numpy calls and one short Python loop: the
+    entering column is the first True of one comparison, the ratio test
+    (_leaving_row) runs on Python floats, and each row is updated in place
+    through a view made once per solve, as t[k] - g_k * t[r] with the same
+    two roundings the whole-array expression makes.
     """
     a = np.asarray(rows, dtype=float)
     b = np.asarray(rhs, dtype=float)
@@ -161,31 +172,26 @@ def simplex_solve(rows: np.ndarray, rhs: np.ndarray, objective: np.ndarray) -> S
     t[:m, -1] = b
     t[-1, :n] = -c
     basis = list(range(n, n + m))
+    red, values, tableau_rows = t[-1, :-1], t[:m, -1], list(t)
+    product = np.empty(n + m + 1)
 
     # Stop at the first overflow: an inf or nan entry leaves the ratio test
     # without a valid leaving row.
     try:
         with np.errstate(over="raise", invalid="raise"):
             for iteration in range(100_000):
-                red = t[-1, :-1]
-                entering_candidates = np.nonzero(red < -_PIVOT_TOL)[0]
-                if entering_candidates.size == 0:
+                entering = red < -_PIVOT_TOL
+                j = int(entering.argmax())  # Bland: lowest index enters
+                if not entering[j]:
                     break
-                j = int(entering_candidates[0])  # Bland: lowest index enters
-                col = t[:m, j]
-                positive = col > _PIVOT_TOL
-                if not positive.any():
-                    raise SolverError("LP is unbounded")
-                ratios = np.full(m, np.inf)
-                ratios[positive] = t[:m, -1][positive] / col[positive]
-                best = ratios.min()
-                ties = np.nonzero(ratios <= best * (1 + 1e-12) + 1e-15)[0]
-                r = int(min(ties, key=lambda k: basis[k]))  # Bland: lowest basic index leaves
-                # Pivot on (r, j).
-                t[r] /= t[r, j]
-                for k in range(m + 1):
-                    if k != r and t[k, j] != 0.0:
-                        t[k] -= t[k, j] * t[r]
+                col = t[:, j].tolist()
+                r = _leaving_row(col, values.tolist(), basis)
+                pivot_row = tableau_rows[r]
+                pivot_row /= col[r]
+                for k, g in enumerate(col):
+                    if k != r and g != 0.0:
+                        np.multiply(pivot_row, g, out=product)
+                        np.subtract(tableau_rows[k], product, out=tableau_rows[k])
                 basis[r] = j
             else:
                 raise SolverError("simplex iteration cap exceeded")
@@ -200,6 +206,36 @@ def simplex_solve(rows: np.ndarray, rhs: np.ndarray, objective: np.ndarray) -> S
         duals=t[-1, n : n + m].copy(),
         iterations=iteration,
     )
+
+
+def _leaving_row(col: list[float], values: list[float], basis: list[int]) -> int:
+    """Bland's ratio test: the row of least values[k] / col[k] over col[k] > tol.
+
+    Ratios within a relative 1e-12 (plus 1e-15) of the least one tie, and
+    the tied row with the lowest basic index leaves. Python floats do not
+    raise where numpy does under the caller's errstate, so this raises
+    FloatingPointError where numpy's division or tie cut would overflow
+    (or make inf / inf), and a nan ratio, which numpy's min propagates,
+    leaves no tied row.
+    """
+    ratios = [math.inf] * len(values)
+    bounded = has_nan = False
+    for k, v in enumerate(values):
+        g = col[k]
+        if g > _PIVOT_TOL:
+            bounded = True
+            q = ratios[k] = v / g
+            if not math.isfinite(q):
+                if math.isfinite(v) or math.isinf(v) and g == math.inf:
+                    raise FloatingPointError("overflow in the ratio test")
+                has_nan = has_nan or q != q
+    if not bounded:
+        raise SolverError("LP is unbounded")
+    best = math.nan if has_nan else min(ratios)
+    cut = best * (1 + 1e-12) + 1e-15
+    if math.isinf(cut) and math.isfinite(best):
+        raise FloatingPointError("overflow in the ratio test")
+    return min((k for k, q in enumerate(ratios) if q <= cut), key=basis.__getitem__)
 
 
 @lru_cache(maxsize=1)
@@ -247,6 +283,7 @@ def _solve_columns(cols: ColumnSet, m: int, values: np.ndarray) -> LpSolution:
         masses=tuple(res.x.tolist()),
         inventory_duals=tuple(res.duals[:-1].tolist()),
         mass_dual=float(res.duals[-1]),
+        iterations=res.iterations,
     )
 
 

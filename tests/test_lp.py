@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -18,6 +19,7 @@ from mnlmarkets.equilibrium import (
     equilibrium_outcome,
 )
 from mnlmarkets.lp import (
+    SimplexResult,
     enumerate_columns,
     simplex_solve,
     solve_opt,
@@ -55,6 +57,123 @@ def brute_force_lp(a, b, c):
     return best
 
 
+def reference_simplex(rows, rhs, objective):
+    """The Bland loop with whole-array numpy per pivot, kept as an oracle.
+
+    simplex_solve must give the same objective, x, duals and pivot count
+    bit for bit, and raise the same errors.
+    """
+    a = np.asarray(rows, dtype=float)
+    b = np.asarray(rhs, dtype=float)
+    c = np.asarray(objective, dtype=float)
+    if a.ndim != 2 or a.shape != (b.size, c.size):
+        raise DomainError("inconsistent LP dimensions")
+    if np.any(b < 0):
+        raise DomainError("rhs must be nonnegative for a slack start")
+    m, n = a.shape
+    t = np.zeros((m + 1, n + m + 1))
+    t[:m, :n] = a
+    t[:m, n : n + m] = np.eye(m)
+    t[:m, -1] = b
+    t[-1, :n] = -c
+    basis = list(range(n, n + m))
+
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for iteration in range(100_000):
+                red = t[-1, :-1]
+                entering_candidates = np.nonzero(red < -1e-9)[0]
+                if entering_candidates.size == 0:
+                    break
+                j = int(entering_candidates[0])  # Bland: lowest index enters
+                col = t[:m, j]
+                positive = col > 1e-9
+                if not positive.any():
+                    raise SolverError("LP is unbounded")
+                ratios = np.full(m, np.inf)
+                ratios[positive] = t[:m, -1][positive] / col[positive]
+                best = ratios.min()
+                ties = np.nonzero(ratios <= best * (1 + 1e-12) + 1e-15)[0]
+                r = int(min(ties, key=lambda k: basis[k]))  # Bland: lowest basic index leaves
+                # Pivot on (r, j).
+                t[r] /= t[r, j]
+                for k in range(m + 1):
+                    if k != r and t[k, j] != 0.0:
+                        t[k] -= t[k, j] * t[r]
+                basis[r] = j
+            else:
+                raise SolverError("simplex iteration cap exceeded")
+    except FloatingPointError as exc:
+        raise SolverError("LP values overflow the floating range") from exc
+
+    x = np.zeros(n + m)
+    x[basis] = t[:m, -1]
+    return SimplexResult(
+        objective=float(t[-1, -1]),
+        x=x[:n].copy(),
+        duals=t[-1, n : n + m].copy(),
+        iterations=iteration,
+    )
+
+
+def assert_solves_like_reference(rows, rhs, objective):
+    """simplex_solve equals reference_simplex bit for bit, or raises the same error."""
+    try:
+        want = reference_simplex(rows, rhs, objective)
+    except (ValueError, RuntimeError) as exc:  # DomainError, SolverError, an empty min()
+        with pytest.raises(type(exc)) as info:
+            simplex_solve(rows, rhs, objective)
+        assert (type(info.value), str(info.value)) == (type(exc), str(exc))
+        return None
+    got = simplex_solve(rows, rhs, objective)
+    assert got.iterations == want.iterations
+    assert_same_bits(np.float64(got.objective), np.float64(want.objective))
+    assert_same_bits(got.x, want.x)
+    assert_same_bits(got.duals, want.duals)
+    return got
+
+
+def lp_certificate(a, b, c, res):
+    """Optimality certificate of res for max c'z s.t. a z <= b, z >= 0.
+
+    The primal residual ||(a z - b)+||, the least mass and dual (both must be
+    >= 0), the worst reduced cost min(y'a - c) (>= 0 at an optimum) and the
+    duality gap |c'z - b'y|, with y the row duals.
+    """
+    a, b, c = (np.asarray(v, dtype=float) for v in (a, b, c))
+    z, y = res.x, res.duals
+    return {
+        "primal_residual": float(np.linalg.norm(np.maximum(a @ z - b, 0.0))),
+        "least_mass": float(z.min()),
+        "least_dual": float(y.min()),
+        "worst_reduced_cost": float((y @ a - c).min()),
+        "duality_gap": abs(float(c @ z) - float(b @ y)),
+    }
+
+
+def assert_certified(a, b, c, res):
+    """The certificate holds to 1e-9 relative to the LP's scale.
+
+    1e-9 is the simplex's pivot tolerance: reduced costs above -1e-9 count as
+    optimal, and entries at or below 1e-9 are not pivoted on.
+    """
+    cert = lp_certificate(a, b, c, res)
+    scale = max(1.0, abs(res.objective), float(np.abs(b).max()))
+    assert cert["primal_residual"] <= 1e-9 * scale, cert
+    assert cert["least_mass"] >= -1e-9 * scale, cert
+    assert cert["least_dual"] >= -1e-9 * max(1.0, float(np.abs(c).max())), cert
+    assert cert["worst_reduced_cost"] >= -1e-9 * max(1.0, float(np.abs(c).max())), cert
+    assert cert["duality_gap"] <= 1e-9 * scale, cert
+
+
+def lp_of(catalog, m, values):
+    """The (rows, rhs, objective) that _solve_columns hands to simplex_solve."""
+    demands = enumerate_columns(catalog).demands
+    rows = np.vstack([demands, np.ones((1, demands.shape[1]))])
+    rhs = np.array(list(catalog.inventories) + [float(m)])
+    return rows, rhs, np.asarray(values, dtype=float)
+
+
 class TestSimplex:
     def test_single_bound(self):
         res = simplex_solve(np.array([[1.0]]), np.array([1.0]), np.array([1.0]))
@@ -87,8 +206,62 @@ class TestSimplex:
             assert abs(redcost @ res.x) <= 1e-8
 
     def test_unbounded_reported(self):
-        with pytest.raises(SolverError):
+        with pytest.raises(SolverError, match="unbounded"):
             simplex_solve(np.array([[-1.0]]), np.array([1.0]), np.array([1.0]))
+        # Unbounded after two pivots: x2 grows without limit once x0 and x1 are in.
+        rows = np.array([[1.0, 0.0, -1.0], [0.0, 1.0, -1.0]])
+        assert assert_solves_like_reference(rows, np.array([1.0, 2.0]),
+                                            np.array([1.0, 1.0, 1.0])) is None
+
+    def test_overflowing_ratio_raises(self):
+        # 1e308 / 1.5e-9 overflows; Python float division would return inf.
+        with pytest.raises(SolverError, match="overflow the floating range"):
+            simplex_solve([[1.5e-9], [1.0]], [1e308, 1.0], [1.0])
+        assert_solves_like_reference([[1.5e-9], [1.0]], [1e308, 1.0], [1.0])
+
+    @pytest.mark.parametrize("rows, rhs, objective", [
+        # 3 / 1 and 0.3 / 0.1 differ in the last bit, so they tie only
+        # through the cut, and the row of lower basic index leaves.
+        ([[1.0], [0.1]], [3.0, 0.3], [1.0]),
+        ([[1.0], [1.0]], [1.7976931348623e308, 1.7976931348623e308], [1.0]),  # the tie cut overflows
+        ([[1.0]], [math.inf], [1.0]),  # inf / 1 is inf without an overflow
+        ([[math.inf], [1.0]], [math.inf, 1.0], [1.0]),  # inf / inf
+        ([[-math.inf], [1.0]], [1.0, 2.0], [1.0]),
+        ([[1.0], [1.0]], [math.nan, 1.0], [1.0]),  # a nan ratio leaves no tied row
+        ([[1.0], [1.0]], [1.0, math.nan], [1.0]),
+        ([[1.0, 1.0]], [1.0], [math.inf, 1.0]),
+        ([[1.0, 1.0]], [1.0], [math.nan, 1.0]),
+        ([[2e-9, 1e308]], [1.0], [1.0, 0.0]),  # the pivot row's division overflows
+    ])
+    def test_edge_lps_solve_like_reference(self, rows, rhs, objective):
+        with np.errstate(all="ignore"):
+            assert_solves_like_reference(rows, rhs, objective)
+
+    def test_degenerate_and_tied_lps_pivot_like_reference(self):
+        # Few distinct entries and zero right-hand sides give tied ratios and
+        # zero-length pivots, where Bland's leaving rule decides: 75 and 191
+        # of the 375 ratio tests here.
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        entries = st.sampled_from([0.0, 0.0, 0.1, 0.5, 1.0, 1.0, 2.0, -1.0])
+
+        @st.composite
+        def lps(draw):
+            m, n = draw(st.integers(1, 5)), draw(st.integers(1, 7))
+            rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m))
+            rhs = draw(st.lists(st.sampled_from([0.0, 0.0, 0.3, 1.0, 3.0]), min_size=m, max_size=m))
+            objective = draw(st.lists(st.sampled_from([-1.0, 0.0, 1.0, 1.0, 2.0]),
+                                      min_size=n, max_size=n))
+            return np.array(rows), np.array(rhs), np.array(objective)
+
+        @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+        @hypothesis.given(lp=lps())
+        def check(lp):
+            res = assert_solves_like_reference(*lp)
+            if res is not None:
+                assert_certified(*lp, res)
+
+        check()
 
     def test_negative_rhs_rejected(self):
         with pytest.raises(DomainError):
@@ -288,6 +461,48 @@ class TestBatchedKernel:
         assert_kernel_matches_scalar(qualities)
         assert_kernel_matches_scalar(qualities, rng.permutation(np.arange(1, 128))[:45])
 
+    @pytest.mark.parametrize("qualities, block", [
+        (LP_PLAN_TWELVE, None),
+        (LP_PLAN_TWELVE, 10),
+        ([2.0, 2.0, 2.0, 1.0, 1.0, 0.5, 0.5, 0.5, -1.0, -1.0], None),  # tied qualities
+    ])
+    def test_masks_at_one_q0_share_their_share_solves(self, monkeypatch, qualities, block):
+        if block is not None:
+            monkeypatch.setattr(equilibrium, "_MASK_BLOCK", block)
+        cat = ItemCatalog(qualities, [1] * len(qualities))
+        n = len(cat)
+        # Unshared, the kernel solves n shares in each block's first round
+        # (every mask starts at q0 = 0.5) and every member's share in each
+        # later no-purchase round: the scalar root's count less its first
+        # round. The final demands add more, so this undercounts.
+        scalar = [0]
+        solve_one = equilibrium._share_from_log
+
+        def count_one(lx):
+            scalar[0] += 1
+            return solve_one(lx)
+
+        monkeypatch.setattr(equilibrium, "_share_from_log", count_one)
+        members = 0
+        for mask in range(1, 1 << n):
+            items = [cat.qualities[i] for i in range(n) if mask >> i & 1]
+            members += len(items)
+            equilibrium._no_purchase_root(items)
+        monkeypatch.setattr(equilibrium, "_share_from_log", solve_one)
+        blocks = -(-((1 << n) - 1) // equilibrium._MASK_BLOCK)
+        unshared = scalar[0] - members + blocks * n
+
+        solved = [0]
+        solve_many = equilibrium._shares_from_log
+
+        def count_many(lx):
+            solved[0] += lx.size
+            return solve_many(lx)
+
+        monkeypatch.setattr(equilibrium, "_shares_from_log", count_many)
+        assert_kernel_matches_scalar(qualities)
+        assert solved[0] < unshared
+
     def test_share_rounding_to_one_raises_domain_error(self):
         with pytest.raises(DomainError, match="rounds to 1"):
             _solve_masks([1e300, 1.0, 0.0], np.arange(1, 8))
@@ -337,6 +552,63 @@ class TestBatchedKernel:
             tracemalloc.stop()
         assert len(cols.columns) == 4095
         assert peak <= 2 * 2**20, f"enumeration peaked at {peak} bytes"
+
+
+def lp_plan_catalog(n, seed):
+    """A catalog shaped like the lp-plan benchmark's: U(-2, 3.5) qualities, 1-19 units."""
+    rng = np.random.default_rng(seed)
+    return ItemCatalog(np.round(rng.uniform(-2.0, 3.5, n), 6), rng.integers(1, 20, n))
+
+
+class TestLpPlanSolves:
+    @pytest.mark.parametrize("catalog, buyers", [
+        (lp_plan_catalog(10, 3), 41),
+        (lp_plan_catalog(11, 4), 137),
+        (ItemCatalog(LP_PLAN_TWELVE, [19, 1, 10, 4, 13, 7, 16, 3, 8, 17, 12, 5]), 188),
+    ])
+    def test_revenue_and_unit_lps_pivot_like_reference(self, catalog, buyers):
+        cols = enumerate_columns(catalog)
+        unit = solve_opt_fixed_rev(catalog, 100, [1.0] * len(catalog))
+        for m, values, sol in ((buyers, cols.revenues, solve_opt(catalog, buyers)),
+                               (100, cols.demands.sum(axis=0), unit)):
+            lp = lp_of(catalog, m, values)
+            res = assert_solves_like_reference(*lp)
+            assert_certified(*lp, res)
+            assert sol.iterations == res.iterations > 0
+            assert sol.objective == res.objective
+            assert sol.masses == tuple(res.x.tolist())
+
+    def test_objectives_match_highs(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        optimize = pytest.importorskip("scipy.optimize")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=25, deadline=None, derandomize=True)
+        @hypothesis.given(
+            qualities=st.lists(st.floats(-2.0, 3.5), min_size=1, max_size=9),
+            inventories=st.lists(st.integers(1, 19), min_size=9, max_size=9),
+            buyers=st.integers(1, 200),
+            prices=st.lists(st.floats(0.0, 3.0), min_size=9, max_size=9),
+        )
+        def check(qualities, inventories, buyers, prices):
+            n = len(qualities)
+            catalog = ItemCatalog(qualities, inventories[:n])
+            cols = enumerate_columns(catalog)
+            r = prices[:n]
+            fixed = np.zeros(cols.revenues.size)
+            for j in range(fixed.size):
+                fixed[j] = cols.columns[j].fixed_revenue(r)
+            for sol, values in ((solve_opt(catalog, buyers), cols.revenues),
+                                (solve_opt_fixed_rev(catalog, buyers, r), fixed)):
+                rows, rhs, c = lp_of(catalog, buyers, values)
+                highs = optimize.linprog(-c, A_ub=rows, b_ub=rhs, bounds=(0, None), method="highs")
+                assert highs.status == 0
+                assert sol.objective == pytest.approx(-highs.fun, rel=1e-9, abs=1e-12)
+                res = simplex_solve(rows, rhs, c)
+                assert res.objective == sol.objective
+                assert_certified(rows, rhs, c, res)
+
+        check()
 
 
 class TestSolveOpt:
