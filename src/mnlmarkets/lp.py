@@ -24,11 +24,11 @@ flow and the exact + - * /, libm per element for exp, log and log1p), so
 both paths give the same bits; smaller catalogs run the scalar solver per
 mask, where batching costs more than it saves.
 
-The LP is solved by a dense-tableau simplex with Bland's anti-cycling rule.
-The tableau has n + 2 rows but one column per assortment, so a pivot costs
-its row updates over the full width plus a fixed interpreter cost that the
-loop keeps to a few numpy calls. A rule that pivots fewer times would reach
-the optimum through other roundings, and the reported bits would change.
+The LP takes finite data and is solved by a dense-tableau simplex with
+Bland's anti-cycling rule. The tableau has n + 2 rows but one column per
+assortment, so a pivot costs its row updates over the full width plus a
+fixed interpreter cost that the loop keeps to a few numpy calls. A rule
+with fewer pivots would round differently, and the reported bits would change.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ class Column:
         """Column value when item i pays a constant r_i per sale.
 
         Adds r_i * q_i in member order from 0.0, the order in which
-        solve_opt_fixed_rev sums the same values over whole arrays.
+        solve_opt_fixed_rev sums the same values over whole demand rows.
         """
         total = 0.0
         for i, q in zip(self.members, self.demands):
@@ -145,10 +145,10 @@ class SimplexResult:
 def simplex_solve(rows: np.ndarray, rhs: np.ndarray, objective: np.ndarray) -> SimplexResult:
     """Maximize objective @ x subject to rows @ x <= rhs, x >= 0.
 
-    Requires rhs >= 0 so the slack basis is feasible. Dense tableau with
-    Bland's rule (lowest-index entering and leaving variable), which cannot
-    cycle. Raises SolverError on an unbounded direction, or when a pivot
-    overflows the floating range.
+    Takes finite data only (DomainError otherwise) with rhs >= 0, so the
+    slack basis is feasible. Dense tableau with Bland's rule (lowest-index
+    entering and leaving variable), which cannot cycle. Raises SolverError
+    on an unbounded direction, or when a pivot overflows the floating range.
 
     Each pivot costs a few numpy calls and one short Python loop: the
     entering column is the first True of one comparison, the ratio test
@@ -156,11 +156,14 @@ def simplex_solve(rows: np.ndarray, rhs: np.ndarray, objective: np.ndarray) -> S
     through a view made once per solve, as t[k] - g_k * t[r] with the same
     two roundings the whole-array expression makes.
     """
-    a = np.asarray(rows, dtype=float)
-    b = np.asarray(rhs, dtype=float)
-    c = np.asarray(objective, dtype=float)
+    try:
+        a, b, c = (np.asarray(v, dtype=float) for v in (rows, rhs, objective))
+    except OverflowError:  # an integer beyond the double range
+        raise DomainError("LP data must be finite") from None
     if a.ndim != 2 or a.shape != (b.size, c.size):
         raise DomainError("inconsistent LP dimensions")
+    if not (np.isfinite(a).all() and np.isfinite(b).all() and np.isfinite(c).all()):
+        raise DomainError("LP data must be finite")
     if np.any(b < 0):
         raise DomainError("rhs must be nonnegative for a slack start")
     m, n = a.shape
@@ -175,8 +178,7 @@ def simplex_solve(rows: np.ndarray, rhs: np.ndarray, objective: np.ndarray) -> S
     red, values, tableau_rows = t[-1, :-1], t[:m, -1], list(t)
     product = np.empty(n + m + 1)
 
-    # Stop at the first overflow: an inf or nan entry leaves the ratio test
-    # without a valid leaving row.
+    # Stop at the first overflow, so every entry the ratio test reads is finite.
     try:
         with np.errstate(over="raise", invalid="raise"):
             for iteration in range(100_000):
@@ -212,28 +214,24 @@ def _leaving_row(col: list[float], values: list[float], basis: list[int]) -> int
     """Bland's ratio test: the row of least values[k] / col[k] over col[k] > tol.
 
     Ratios within a relative 1e-12 (plus 1e-15) of the least one tie, and
-    the tied row with the lowest basic index leaves. Python floats do not
-    raise where numpy does under the caller's errstate, so this raises
-    FloatingPointError where numpy's division or tie cut would overflow
-    (or make inf / inf), and a nan ratio, which numpy's min propagates,
-    leaves no tied row.
+    the tied row with the lowest basic index leaves. The entries are finite,
+    and Python floats do not raise where numpy does under the caller's
+    errstate, so this raises FloatingPointError where numpy's division or
+    tie cut would overflow.
     """
     ratios = [math.inf] * len(values)
-    bounded = has_nan = False
+    bounded = False
     for k, v in enumerate(values):
         g = col[k]
         if g > _PIVOT_TOL:
             bounded = True
             q = ratios[k] = v / g
             if not math.isfinite(q):
-                if math.isfinite(v) or math.isinf(v) and g == math.inf:
-                    raise FloatingPointError("overflow in the ratio test")
-                has_nan = has_nan or q != q
+                raise FloatingPointError("overflow in the ratio test")
     if not bounded:
         raise SolverError("LP is unbounded")
-    best = math.nan if has_nan else min(ratios)
-    cut = best * (1 + 1e-12) + 1e-15
-    if math.isinf(cut) and math.isfinite(best):
+    cut = min(ratios) * (1 + 1e-12) + 1e-15
+    if math.isinf(cut):
         raise FloatingPointError("overflow in the ratio test")
     return min((k for k, q in enumerate(ratios) if q <= cut), key=basis.__getitem__)
 
@@ -276,8 +274,7 @@ def _solve_columns(cols: ColumnSet, m: int, values: np.ndarray) -> LpSolution:
         raise DomainError(f"buyer count must be >= 1, got {m}")
     a = cols.demands
     rows = np.vstack([a, np.ones((1, a.shape[1]))])
-    rhs = np.array(list(cols.catalog.inventories) + [float(m)], dtype=float)
-    res = simplex_solve(rows, rhs, values)
+    res = simplex_solve(rows, [*cols.catalog.inventories, m], values)
     return LpSolution(
         objective=res.objective,
         masses=tuple(res.x.tolist()),
@@ -296,15 +293,13 @@ def solve_opt(catalog: ItemCatalog, m: int) -> LpSolution:
 def solve_opt_fixed_rev(catalog: ItemCatalog, m: int, r: Sequence[float]) -> LpSolution:
     """Clairvoyant value when item i earns a constant r_i per sale.
 
-    Column values add r_i * q_i(S) over the members of S in position order
-    from 0.0, exactly as Column.fixed_revenue does.
+    Adds r_i * q_i(S) over whole demand rows from 0.0: a non-member's 0.0
+    demand adds a signed zero, so each value has Column.fixed_revenue's bits.
     """
     if len(r) != len(catalog):
         raise DomainError("fixed revenue vector must have one entry per item")
     cols = enumerate_columns(catalog)
-    masks = np.arange(1, cols.revenues.size + 1)
     values = np.zeros(cols.revenues.size)
-    for i, r_i in enumerate(r):
-        holds = (masks >> i & 1).astype(bool)
-        values[holds] += float(r_i) * cols.demands[i, holds]
+    for r_i, demands in zip(r, cols.demands):
+        values += float(r_i) * demands
     return _solve_columns(cols, m, values)

@@ -55,6 +55,8 @@ class BipartiteMarket:
         capacities = [whole_number(c, "capacities") for c in capacities]
         if len(capacities) != n or any(c < 1 for c in capacities):
             raise DomainError("capacities must give a positive integer per seller")
+        if any(c >= 2**63 for c in capacities):  # the flow counts units in int64
+            raise DomainError("capacities must be below 2**63")
         if visibility.any() and not np.all(np.isfinite(theta[visibility])):
             raise DomainError("visible qualities must be finite")
         cap = float(np.abs(theta[visibility]).max()) if visibility.any() else 0.0

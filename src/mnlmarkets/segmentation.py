@@ -154,7 +154,7 @@ def max_weight_flow(network: FlowNetwork) -> FlowAssignment:
     gain = np.full((n, n), _NO_ARC, dtype=np.int64)  # transfer gain seller i -> j
     via = np.zeros((n, n), dtype=np.intp)  # the buyer that transfer moves
     sellers = np.arange(n)
-    target = min(m, int(capacity.sum()))
+    target = min(m, sum(network.market.capacities))  # an int64 sum can wrap
     sent = 0
     while sent < target:
         entry = free.argmax(axis=1)

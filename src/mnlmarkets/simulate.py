@@ -561,7 +561,8 @@ def adversarial_instance(growth: float, horizon: int) -> HeterogeneousInstance:
         raise DomainError(f"growth must exceed 1, got {growth}")
     if horizon < 1:
         raise DomainError("horizon must be at least 1")
-    if horizon * math.log(growth) > math.log(1e300):
+    # Past 1e300 every horizon overflows, and float(horizon) may not exist.
+    if horizon > 1e300 or horizon * math.log(growth) > math.log(1e300):
         raise DomainError("growth**horizon overflows the floating range")
     qualities = tuple(
         quality_for_target_revenue(growth ** t) for t in range(1, horizon + 1)

@@ -124,6 +124,13 @@ class TestOptCommand:
         assert code == 0
         assert math.isfinite(json.loads(out)["objective"])
 
+    @pytest.mark.parametrize("inventories, buyers", [([1, 10**400], 3), ([1, 1], 10**400)],
+                             ids=["inventory", "buyers"])
+    def test_whole_number_beyond_double_range_exits_2(self, tmp_path, capsys, inventories, buyers):
+        path = tmp_path / "cat.json"
+        path.write_text(json.dumps({"schema": 1, "qualities": [1.0, 2.0], "inventories": inventories}))
+        assert_one_error_line(*run(["opt", str(path), "--buyers", str(buyers)], capsys))
+
     def test_columns_of_one_catalog_are_kept(self, tmp_path, catalog_path, capsys):
         other = tmp_path / "other.json"
         other.write_text(json.dumps({"schema": 1, "qualities": [0.5, 1.5, 2.5], "inventories": [1, 2, 3]}))
@@ -202,6 +209,11 @@ class TestSimulateCommand:
     ])
     def test_unconvertible_field_exits_2(self, tmp_path, capsys, field):
         cfg = self.make_config(tmp_path, **field)
+        assert_one_error_line(*run(["simulate", "--config", cfg], capsys))
+
+    def test_inventory_beyond_double_range_exits_2(self, tmp_path, capsys):
+        catalog = {"schema": 1, "qualities": [2.0, 0.5], "inventories": [2, 10**400]}
+        cfg = self.make_config(tmp_path, catalog=catalog)
         assert_one_error_line(*run(["simulate", "--config", cfg], capsys))
 
     @pytest.mark.parametrize("field, drop", [
@@ -422,6 +434,19 @@ class TestNetworkCommand:
         path.write_text(json.dumps({"schema": 1, "theta": [[2.0]], "capacities": capacities}))
         assert_one_error_line(*run(["segment", str(path)], capsys))
 
+    @pytest.mark.parametrize("command", ["network", "segment"])
+    def test_capacities_past_int64(self, tmp_path, capsys, command):
+        # 2**62 + 2**62 wraps an int64 sum; in a 3-buyer market it must bind
+        # no more than capacities of 3 do. 10**400 does not fit an int64.
+        outputs = []
+        for capacities in ([2**62, 2**62], [3, 3], [1, 10**400]):
+            path = tmp_path / "m.json"
+            path.write_text(json.dumps({"schema": 1, "theta": [[2.0, 0.5, 1.0], [1.0, 1.5, 0.3]],
+                                        "capacities": capacities}))
+            outputs.append(run([command, str(path)], capsys))
+        assert outputs[0] == outputs[1] and outputs[0][0] == 0
+        assert_one_error_line(*outputs[2])
+
     def test_deterministic(self, market_path, capsys):
         _, out1, _ = run(["network", market_path], capsys)
         _, out2, _ = run(["network", market_path], capsys)
@@ -474,6 +499,9 @@ class TestAdversaryDemo:
     def test_overflow_exits_2(self, capsys):
         code, _, _ = run(["adversary-demo", "--growth", "10", "--horizon", "400"], capsys)
         assert code == 2
+
+    def test_horizon_beyond_double_range_exits_2(self, capsys):
+        assert_one_error_line(*run(["adversary-demo", "--horizon", str(10**400)], capsys))
 
     def test_nan_growth_exits_2_with_its_own_message(self, capsys):
         code, out, err = run(["adversary-demo", "--growth", "nan"], capsys)

@@ -25,6 +25,7 @@ from mnlmarkets.lp import (
     solve_opt,
     solve_opt_fixed_rev,
 )
+from mnlmarkets.simulate import adversarial_instance, always_offer_ratio
 
 OMEGA = 0.56714329040978387  # solo revenue of a theta=1 item
 R_PAIR = 1.0640048420806135  # total revenue of the theta=(1,2) assortment
@@ -68,6 +69,8 @@ def reference_simplex(rows, rhs, objective):
     c = np.asarray(objective, dtype=float)
     if a.ndim != 2 or a.shape != (b.size, c.size):
         raise DomainError("inconsistent LP dimensions")
+    if not (np.isfinite(a).all() and np.isfinite(b).all() and np.isfinite(c).all()):
+        raise DomainError("LP data must be finite")
     if np.any(b < 0):
         raise DomainError("rhs must be nonnegative for a slack start")
     m, n = a.shape
@@ -120,7 +123,7 @@ def assert_solves_like_reference(rows, rhs, objective):
     """simplex_solve equals reference_simplex bit for bit, or raises the same error."""
     try:
         want = reference_simplex(rows, rhs, objective)
-    except (ValueError, RuntimeError) as exc:  # DomainError, SolverError, an empty min()
+    except (DomainError, SolverError) as exc:
         with pytest.raises(type(exc)) as info:
             simplex_solve(rows, rhs, objective)
         assert (type(info.value), str(info.value)) == (type(exc), str(exc))
@@ -224,18 +227,24 @@ class TestSimplex:
         # through the cut, and the row of lower basic index leaves.
         ([[1.0], [0.1]], [3.0, 0.3], [1.0]),
         ([[1.0], [1.0]], [1.7976931348623e308, 1.7976931348623e308], [1.0]),  # the tie cut overflows
-        ([[1.0]], [math.inf], [1.0]),  # inf / 1 is inf without an overflow
-        ([[math.inf], [1.0]], [math.inf, 1.0], [1.0]),  # inf / inf
+        ([[1.0]], [math.inf], [1.0]),  # non-finite data raises DomainError in both
+        ([[math.inf], [1.0]], [math.inf, 1.0], [1.0]),
         ([[-math.inf], [1.0]], [1.0, 2.0], [1.0]),
-        ([[1.0], [1.0]], [math.nan, 1.0], [1.0]),  # a nan ratio leaves no tied row
+        ([[1.0], [1.0]], [math.nan, 1.0], [1.0]),
         ([[1.0], [1.0]], [1.0, math.nan], [1.0]),
         ([[1.0, 1.0]], [1.0], [math.inf, 1.0]),
         ([[1.0, 1.0]], [1.0], [math.nan, 1.0]),
         ([[2e-9, 1e308]], [1.0], [1.0, 0.0]),  # the pivot row's division overflows
     ])
     def test_edge_lps_solve_like_reference(self, rows, rhs, objective):
-        with np.errstate(all="ignore"):
-            assert_solves_like_reference(rows, rhs, objective)
+        assert_solves_like_reference(rows, rhs, objective)
+        if not all(np.isfinite(np.asarray(v, dtype=float)).all() for v in (rows, rhs, objective)):
+            with pytest.raises(DomainError, match="LP data must be finite"):
+                simplex_solve(rows, rhs, objective)
+
+    def test_integer_beyond_the_double_range_raises_domain_error(self):
+        with pytest.raises(DomainError, match="LP data must be finite"):
+            simplex_solve([[1.0]], [10**400], [1.0])
 
     def test_degenerate_and_tied_lps_pivot_like_reference(self):
         # Few distinct entries and zero right-hand sides give tied ratios and
@@ -336,17 +345,24 @@ class TestColumnArrays:
 
     def test_fixed_revenue_values_equal_column_records(self):
         rng = np.random.default_rng(61)
+        inputs = []
         for n in (1, 3, 5, 7):
             cat = ItemCatalog(rng.uniform(-2.0, 3.0, n), rng.integers(1, 6, n))
-            cols = enumerate_columns(cat)
             r = rng.uniform(-1.0, 3.0, n).tolist()
             r[0] = 0.0
+            inputs.append((cat, r))
+        # The quality -800 item's share is exactly 0.0, so with r < 0 each of
+        # its columns adds -0.0 for a member as well as for a non-member.
+        inputs.append((ItemCatalog([2.0, 1.5, 0.5, -800.0], [4, 2, 1, 3]), [0.7, 1.25, -0.3, -2.5]))
+        for cat, r in inputs:
+            cols = enumerate_columns(cat)
             sol = solve_opt_fixed_rev(cat, 17, r)
             rows = np.vstack([cols.demands, np.ones((1, len(cols.columns)))])
             rhs = np.array(list(cat.inventories) + [17.0])
             ref = simplex_solve(rows, rhs, np.array([c.fixed_revenue(r) for c in cols.columns]))
-            assert sol.objective == ref.objective
-            assert sol.masses == tuple(ref.x.tolist())
+            assert_same_bits(np.float64(sol.objective), np.float64(ref.objective))
+            assert_same_bits(np.array(sol.masses), ref.x)
+        assert cols.demands[3].tolist() == [0.0] * len(cols.columns)
 
     def test_arrays_reject_writes(self):
         cols = enumerate_columns(ItemCatalog([1.0, 0.5, -0.5], [1, 2, 3]))
@@ -727,3 +743,50 @@ class TestCollapse:
             m = int(rng.integers(1, 6))
             collapsed = solve_opt(cat, m).objective
             assert collapsed == pytest.approx(expanded_opt(cat, m), abs=1e-7)
+
+
+def impossibility_lp(growth, horizon):
+    """The LP of the best ratio any online rule guarantees on the first H buyers.
+
+    Over (y_1..y_H, c), with y_t the chance the unit sells to buyer t and
+    q_t, r_t buyer t's solo demand and revenue on adversarial_instance:
+    maximise c subject to y_t + q_t * sum_{s<t} y_s <= q_t for each t (the
+    unit is still there with chance 1 - sum_{s<t} y_s) and
+    c - sum_{t<=T} (1 + r_t) / g^T * y_t <= 0 for each T (each prefix earns
+    c times its hindsight value g^T; dividing by g^T keeps the rows scaled).
+    """
+    inst = adversarial_instance(growth, horizon)
+    q = [inst.solo_demand(t) for t in range(1, horizon + 1)]
+    rows = np.zeros((2 * horizon, horizon + 1))
+    for t in range(horizon):
+        rows[t, :t] = q[t]
+        rows[t, t] = 1.0
+        rows[horizon + t, : t + 1] = [
+            -(1.0 + inst.solo_revenue(s + 1)) / growth ** (t + 1) for s in range(t + 1)
+        ]
+        rows[horizon + t, horizon] = 1.0
+    objective = np.zeros(horizon + 1)
+    objective[horizon] = 1.0
+    return inst, rows, np.array(q + [0.0] * horizon), objective
+
+
+class TestImpossibilityCertificate:
+    @pytest.mark.parametrize("growth", [2.0, 3.0, 5.0, 10.0])
+    def test_best_online_ratio_decays_like_one_over_horizon(self, growth):
+        # c*(H) is the best ratio an online rule can guarantee; it falls as
+        # g / ((g - 1) H), so no rule has a constant ratio.
+        optimize = pytest.importorskip("scipy.optimize")
+        for horizon in (4, 8, 16, 32):
+            inst, *lp = impossibility_lp(growth, horizon)
+            res = simplex_solve(*lp)
+            assert_certified(*lp, res)
+            rows, rhs, objective = lp
+            highs = optimize.linprog(-objective, A_ub=rows, b_ub=rhs, bounds=(0, None),
+                                     method="highs")
+            assert highs.status == 0
+            assert res.objective == pytest.approx(-highs.fun, rel=1e-9)
+            assert res.objective >= always_offer_ratio(inst, horizon)
+            assert simplex_solve(*impossibility_lp(growth, 2 * horizon)[1:]).objective < res.objective
+            scaled = horizon * res.objective
+            print(f"g={growth:g} H={horizon}: H*c*(H)={scaled:.6f} g/(g-1)={growth / (growth - 1):.6f}")
+            assert abs(scaled - growth / (growth - 1)) <= 0.025

@@ -75,6 +75,12 @@ class TestMarketConstruction:
                 BipartiteMarket([[1.0], [2.0]], capacities=[1, bad])
         assert BipartiteMarket([[1.0]], capacities=[2.0]).capacities == (2,)
 
+    def test_capacities_fit_int64(self):
+        assert BipartiteMarket([[1.0]], capacities=[2**63 - 1]).capacities == (2**63 - 1,)
+        for bad in (2**63, 10**400):
+            with pytest.raises(DomainError, match="below 2\\*\\*63"):
+                BipartiteMarket([[1.0]], capacities=[bad])
+
     def test_price_box(self):
         one_buyer = single_buyer_market([2.0])
         assert one_buyer.price_box() == 13.0

@@ -550,6 +550,8 @@ class TestAdversarialInstance:
     def test_overflow_rejected(self):
         with pytest.raises(DomainError):
             adversarial_instance(10.0, 350)
+        with pytest.raises(DomainError, match="overflows"):  # float(10**400) would overflow
+            adversarial_instance(10.0, 10**400)
         with pytest.raises(DomainError):
             adversarial_instance(1.0, 5)
 
