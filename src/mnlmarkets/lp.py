@@ -40,7 +40,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .equilibrium import DomainError, ItemCatalog, SolverError, _solve_masks, _solve_outcome
+from .equilibrium import DomainError, ItemCatalog, SolverError, _solve_masks, _solve_outcome, real_number
 
 _MAX_COLUMNS_EXPONENT = 20
 # Smallest catalog enumerated by the batched kernel, which costs about 1 ms
@@ -295,11 +295,15 @@ def solve_opt_fixed_rev(catalog: ItemCatalog, m: int, r: Sequence[float]) -> LpS
 
     Adds r_i * q_i(S) over whole demand rows from 0.0: a non-member's 0.0
     demand adds a signed zero, so each value has Column.fixed_revenue's bits.
+    Each r_i must be finite, which also keeps inf * 0.0 out of those rows.
     """
     if len(r) != len(catalog):
         raise DomainError("fixed revenue vector must have one entry per item")
+    r = [real_number(r_i, "fixed revenues") for r_i in r]
+    if not all(map(math.isfinite, r)):
+        raise DomainError("fixed revenues must be finite")
     cols = enumerate_columns(catalog)
     values = np.zeros(cols.revenues.size)
     for r_i, demands in zip(r, cols.demands):
-        values += float(r_i) * demands
+        values += r_i * demands
     return _solve_columns(cols, m, values)

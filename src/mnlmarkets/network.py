@@ -12,7 +12,13 @@ The solver runs deterministic round-robin best responses. A best response is
 the stationary point of the uncapped utility unless the demand there exceeds
 capacity, in which case the price rises to the unique level where demand
 equals capacity. Convergence of the dynamics is not guaranteed by theory, so
-non-convergence is reported in the result rather than raised.
+non-convergence is reported in the result rather than raised; the report's
+residual (the largest unilateral gain) is computed on first access.
+
+A best response reads only the columns of the seller's visible buyers and
+evaluates its share vectors in preallocated buffers. Both keep the bits of
+the whole-array expressions they replace, which the tests check against
+those expressions.
 """
 
 from __future__ import annotations
@@ -20,7 +26,8 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -66,6 +73,13 @@ class BipartiteMarket:
         object.__setattr__(self, "visibility", visibility)
         object.__setattr__(self, "capacities", tuple(capacities))
         object.__setattr__(self, "quality_cap", cap)
+
+    @cached_property
+    def _visible_theta(self) -> np.ndarray:
+        """theta with -inf on the invisible pairs: e^{theta - p} there is 0."""
+        masked = np.where(self.visibility, self.theta, -np.inf)
+        masked.setflags(write=False)
+        return masked
 
     @property
     def sellers(self) -> int:
@@ -131,10 +145,19 @@ class EquilibriumReport:
 
     prices: tuple[float, ...]
     demands: np.ndarray
-    residual: float
     iterations: int
     capacity_ok: bool
     converged: bool
+    market: BipartiteMarket = field(repr=False, compare=False)
+
+    @cached_property
+    def residual(self) -> float:
+        """Largest unilateral utility gain at the prices, at least 0.
+
+        Costs n more best responses and n demand solves, so it is computed
+        on first access only.
+        """
+        return max([0.0, *_best_response_gains(self.market, np.array(self.prices), self.demands)])
 
 
 @dataclass(frozen=True)
@@ -159,16 +182,10 @@ def network_demand(market: BipartiteMarket, prices) -> np.ndarray:
     p = np.asarray(prices, dtype=float)
     if p.shape != (market.sellers,):
         raise DomainError("need one price per seller")
-    weights, shift = _shifted_weights(market, p, market.visibility)
-    return weights / (np.exp(-shift) + weights.sum(axis=0))
-
-
-def _shifted_weights(market: BipartiteMarket, p: np.ndarray, visible: np.ndarray):
-    """e^{theta_ik - p_i - s_k} on the visible pairs (0 elsewhere), and the
-    per-buyer shift s_k = max(0, max_i theta_ik - p_i) that keeps it finite."""
-    util = np.where(visible, market.theta - p[:, None], -np.inf)
+    util = np.where(market.visibility, market.theta - p[:, None], -np.inf)
     shift = np.maximum(0.0, util.max(axis=0, initial=-np.inf))
-    return np.exp(util - shift), shift
+    weights = np.exp(util - shift)
+    return weights / (np.exp(-shift) + weights.sum(axis=0))
 
 
 def seller_utility(market: BipartiteMarket, prices, i: int) -> float:
@@ -182,19 +199,53 @@ def seller_utility(market: BipartiteMarket, prices, i: int) -> float:
 
 def _rival_logits(market: BipartiteMarket, prices, i: int) -> np.ndarray:
     """z_k = theta_ik - ln(1 + sum_{j != i} e^{theta_jk - p_jk}), for buyers
-    visible to i; q_ik(p) = sigmoid(z_k - p)."""
-    rivals = market.visibility.copy()
-    rivals[i] = False
-    weights, shift = _shifted_weights(market, np.asarray(prices, dtype=float), rivals)
-    log_base = shift + np.log(np.exp(-shift) + weights.sum(axis=0))
-    vis_i = market.visibility[i]
-    return market.theta[i, vis_i] - log_base[vis_i]
+    visible to i; q_ik(p) = sigmoid(z_k - p).
+
+    Works on the columns of i's buyers only, with the bits of the full-width
+    sum: numpy adds the rows of a C-ordered block in order, as it does over
+    the whole matrix, but sums an F-ordered copy (what ``A[:, cols]`` gives)
+    or a lone column pairwise.
+    """
+    cols = np.flatnonzero(market.visibility[i])
+    p = np.asarray(prices, dtype=float)[:, None]
+    if p.min() > -np.inf:
+        util = np.take(market._visible_theta, cols, axis=1)  # a C-ordered copy
+        util -= p
+    else:  # a nan or -inf price would turn an invisible pair's -inf into nan
+        util = np.where(np.take(market.visibility, cols, axis=1),
+                        np.take(market.theta, cols, axis=1) - p, -np.inf)
+    util[i] = -np.inf
+    shift = np.maximum(0.0, util.max(axis=0, initial=-np.inf))
+    util -= shift
+    np.exp(util, out=util)
+    if cols.size == 1 and market.buyers > 1:  # in row order, as over the wider matrix
+        total = np.add.accumulate(util[:, 0])[-1:]
+    else:
+        total = util.sum(axis=0)
+    log_base = shift + np.log(np.exp(-shift) + total)
+    return market.theta[i, cols] - log_base
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     """1 / (1 + e^{-z}) from one exponential of -|z|, which never overflows."""
     e = np.exp(-np.abs(z))
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
+
+
+def _shares_into(z: np.ndarray, p, x: np.ndarray, e: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """q = _sigmoid(z - p), bit for bit, written through the buffers x and e.
+
+    p is a price or a column of prices, one per row of the buffers. As
+    e = e^{-|z - p|} <= 1, _sigmoid's numerator where(z - p >= 0, 1, e) is
+    max(e, [z - p >= 0]).
+    """
+    np.subtract(z, p, out=x)
+    np.copysign(x, -1.0, out=e)
+    np.exp(e, out=e)
+    np.greater_equal(x, 0.0, out=x)
+    np.maximum(e, x, out=x)
+    np.add(e, 1.0, out=e)
+    return np.divide(x, e, out=q)
 
 
 def seller_best_response(market: BipartiteMarket, prices, i: int) -> float:
@@ -212,51 +263,84 @@ def seller_best_response(market: BipartiteMarket, prices, i: int) -> float:
         return 0.0
     box = market.price_box()
     cap = float(market.capacities[i])
+    # A response evaluates dozens of share vectors of a few hundred entries,
+    # where ufunc call overhead outweighs the element work. So every step
+    # writes into these buffers, in the operand order and rounding of the
+    # array expressions in the comments.
+    x, e, q, t, u = (np.empty_like(z) for _ in range(5))
+    last = [math.nan]  # the price q holds the shares of
 
     def shares(p: float) -> np.ndarray:
-        return _sigmoid(z - p)
+        last[0] = p
+        return _shares_into(z, p, x, e, q)
 
     def marginal(p: float, q: np.ndarray) -> float:
-        return float((q * (1.0 - p * (1.0 - q))).sum())
+        # (q * (1 - p * (1 - q))).sum()
+        np.subtract(1.0, q, out=t)
+        np.multiply(t, p, out=t)
+        np.subtract(1.0, t, out=t)
+        np.multiply(q, t, out=t)
+        return float(np.add.reduce(t))
 
     def minus_marginal(p: float) -> tuple[float, float]:
         # The marginal utility falls through its root; _newton takes its negation.
         q = shares(p)
-        slope = float(((q * q - q) * (2.0 + 2.0 * p * q - p)).sum())
-        return -marginal(p, q), -slope
+        f = marginal(p, q)
+        # ((q * q - q) * (2 + 2 * p * q - p)).sum(), 2 * p * q being (2 * p) * q
+        np.multiply(q, 2.0 * p, out=u)
+        np.add(u, 2.0, out=u)
+        np.subtract(u, p, out=u)
+        np.multiply(q, q, out=t)
+        np.subtract(t, q, out=t)
+        np.multiply(t, u, out=t)
+        return -f, -float(np.add.reduce(t))
 
     if marginal(box, shares(box)) > 0.0:
         raise SolverError(f"stationary price of seller {i} exceeds the search box")
     # A stalled stationary solve keeps its last iterate: the capacity check
     # below and the sweep's convergence test judge it.
     p = _newton(minus_marginal, min(2.0, box), 0.0, box, _BR_TOL, None)
-    demand = float(shares(p).sum())
+    demand = float(np.add.reduce(q if last[0] == p else shares(p)))
     if demand <= cap:
         return p
     # Capacity arm: raise the price until demand matches supply. It bisects
     # first, then probes Newton: _newton would change its iterates' bits.
+    # Where shares are below 1/2, demand is convex in the price, so a probe
+    # is at most the root and the next midpoint is (probe + hi) / 2. Each
+    # probe is evaluated with that midpoint, as a 2-row block whose rows
+    # numpy sums as it sums a 1-d array.
+    xs, es, qs = (np.empty((2, z.size)) for _ in range(3))
+    probes = np.empty((2, 1))
     lo, hi = p, box
+    mid = 0.5 * (lo + hi)
+    qm = shares(mid)
+    d = float(np.add.reduce(qm)) - cap
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        q = shares(mid)
-        d = float(q.sum()) - cap
         if abs(d) < _BR_TOL:
             return mid
         if d > 0.0:
             lo = mid
         else:
             hi = mid
-        slope = float(-(q * (1.0 - q)).sum())
+        # -(q * (1 - q)).sum(): negating the sum instead is exact
+        np.subtract(1.0, qm, out=t)
+        np.multiply(qm, t, out=t)
+        slope = -float(np.add.reduce(t))
         nxt = mid - d / slope
         if lo < nxt < hi:
-            q = shares(nxt)
-            d = float(q.sum()) - cap
+            probes[:, 0] = nxt, 0.5 * (nxt + hi)
+            sums = np.add.reduce(_shares_into(z, probes, xs, es, qs), axis=1)
+            d = float(sums[0]) - cap
             if abs(d) < _BR_TOL:
                 return nxt
             if d > 0.0:
                 lo = nxt
-            else:
-                hi = nxt
+                mid, qm, d = 0.5 * (lo + hi), qs[1], float(sums[1]) - cap
+                continue
+            hi = nxt
+        mid = 0.5 * (lo + hi)
+        qm = shares(mid)
+        d = float(np.add.reduce(qm)) - cap
     return 0.5 * (lo + hi)
 
 
@@ -306,26 +390,27 @@ def solve_network_equilibrium(
             converged = True
             break
     demands = network_demand(market, p)
-    residual = max([0.0, *_best_response_gains(market, p)])
     totals = demands.sum(axis=1)
     capacity_ok = bool(np.all(totals <= np.array(market.capacities) + 1e-7))
     return EquilibriumReport(
         prices=tuple(float(x) for x in p),
         demands=demands,
-        residual=residual,
         iterations=iterations,
         capacity_ok=capacity_ok,
         converged=converged,
+        market=market,
     )
 
 
-def _best_response_gains(market: BipartiteMarket, p: np.ndarray) -> list[float]:
-    """Each seller's utility gain from moving alone to its best response."""
+def _best_response_gains(market: BipartiteMarket, p: np.ndarray, demands: np.ndarray) -> list[float]:
+    """Each seller's utility gain from moving alone to its best response;
+    ``demands`` is network_demand(market, p)."""
     gains = []
     for i in range(market.sellers):
         trial = p.copy()
         trial[i] = seller_best_response(market, p, i)
-        gains.append(seller_utility(market, trial, i) - seller_utility(market, p, i))
+        base = float(p[i]) * min(float(demands[i].sum()), market.capacities[i])
+        gains.append(seller_utility(market, trial, i) - base)
     return gains
 
 
@@ -334,7 +419,7 @@ def verify_equilibrium(market: BipartiteMarket, prices, epsilon: float = 1e-6) -
     nonpositive second-order term at interior stationary prices."""
     p = np.asarray(prices, dtype=float)
     demands = network_demand(market, p)
-    gains = _best_response_gains(market, p)
+    gains = _best_response_gains(market, p, demands)
     slacks = []
     second = []
     stationary = []

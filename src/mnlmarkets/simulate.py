@@ -413,7 +413,8 @@ def estimate_ratios(
 
     Rows run policy by policy, then threshold, then buyer count, as the CLI
     prints them; each policy is a key of ``POLICIES``, and replication r
-    always uses the (seed, r) stream. Every row is checked before any
+    always uses the (seed, r) stream. Inventories of 2^63 or more, which
+    the int64 stock cannot hold, raise first. Every row is checked before any
     episode runs, in row order, so the first bad row raises: its instance,
     its replication count and policy name, then counts whose (replications,
     buyers) matrix of doubles numpy cannot address, then more than 2^32
@@ -431,6 +432,8 @@ def estimate_ratios(
     are kept. A block fuses rows while its widest per-step array stays
     within max(R * (n + 1), 2^18) elements.
     """
+    if max(catalog.inventories) >= 2**63:
+        raise DomainError("inventories must be below 2**63 to simulate")
     rows = list(itertools.product(policies, thresholds))
     opts = {}
     for name, threshold in rows:

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import mnlmarkets
+from mnlmarkets import network
 from mnlmarkets.cli import main
 from mnlmarkets.lp import enumerate_columns
 
@@ -215,6 +216,18 @@ class TestSimulateCommand:
         catalog = {"schema": 1, "qualities": [2.0, 0.5], "inventories": [2, 10**400]}
         cfg = self.make_config(tmp_path, catalog=catalog)
         assert_one_error_line(*run(["simulate", "--config", cfg], capsys))
+
+    def test_inventory_beyond_int64_exits_2(self, tmp_path, capsys):
+        # 2**70 is a double, so the LP takes it, but the engine's stock is int64.
+        catalog = {"schema": 1, "qualities": [2.0, 0.5], "inventories": [2, 2**70]}
+        cfg = self.make_config(tmp_path, catalog=catalog)
+        code, out, err = run(["simulate", "--config", cfg], capsys)
+        assert_one_error_line(code, out, err)
+        assert "2**63" in err
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(catalog))
+        code, out, _ = run(["opt", str(path), "--buyers", "3"], capsys)
+        assert code == 0 and json.loads(out)["objective"] > 0.0
 
     @pytest.mark.parametrize("field, drop", [
         ({"buyers_sweep": [2.7]}, ()),
@@ -482,6 +495,18 @@ class TestSegmentCommand:
         assert "whole_revenue" in rep and rep["whole_converged"]
         body = csv_path.read_text().strip().split("\n")
         assert body[0].startswith("pools,assigned_buyers,total_revenue")
+
+
+    def test_compare_never_computes_the_residual(self, market_path, monkeypatch, capsys):
+        # segment prints no residual, so it must not pay for the n best
+        # responses behind it; network prints it and computes it once.
+        calls = []
+        real = network._best_response_gains
+        monkeypatch.setattr(network, "_best_response_gains", lambda *a: calls.append(a) or real(*a))
+        code, out, _ = run(["segment", market_path, "--compare"], capsys)
+        assert code == 0 and "residual" not in json.loads(out) and calls == []
+        code, out, _ = run(["network", market_path], capsys)
+        assert code == 0 and json.loads(out)["residual"] >= 0.0 and len(calls) == 1
 
 
 class TestAdversaryDemo:

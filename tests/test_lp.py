@@ -4,6 +4,7 @@ import gc
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -709,6 +710,14 @@ class TestFixedRevenue:
     def test_rejects_wrong_length(self):
         with pytest.raises(DomainError):
             solve_opt_fixed_rev(ItemCatalog([1.0], [1]), 1, [1.0, 1.0])
+
+    @pytest.mark.parametrize("r", [[math.inf, 1.0], [1.0, -math.inf], [math.nan, 1.0], [1.0, 10**400]])
+    def test_rejects_non_finite_revenue_without_a_warning(self, r):
+        # inf times a non-member's 0.0 demand used to warn before the LP raised.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="fixed revenues"):
+                solve_opt_fixed_rev(ItemCatalog([1.0, 2.0], [1, 1]), 3, r)
 
 
 def expanded_opt(catalog, m):

@@ -9,11 +9,15 @@ import pytest
 from mnlmarkets.equilibrium import (
     DomainError,
     ItemCatalog,
+    SolverError,
+    _newton,
     equilibrium_outcome,
     mnl_demand,
 )
 from mnlmarkets.network import (
     BipartiteMarket,
+    _best_response_gains,
+    _rival_logits,
     _sigmoid,
     check_consistency,
     network_demand,
@@ -22,6 +26,104 @@ from mnlmarkets.network import (
     solve_network_equilibrium,
     verify_equilibrium,
 )
+
+
+def reference_rival_logits(market, prices, i):
+    """The full-width rival logits, kept as an oracle: every seller's
+    log-denominator over every buyer, then i's visible columns."""
+    rivals = market.visibility.copy()
+    rivals[i] = False
+    p = np.asarray(prices, dtype=float)
+    util = np.where(rivals, market.theta - p[:, None], -np.inf)
+    shift = np.maximum(0.0, util.max(axis=0, initial=-np.inf))
+    weights = np.exp(util - shift)
+    log_base = shift + np.log(np.exp(-shift) + weights.sum(axis=0))
+    vis_i = market.visibility[i]
+    return market.theta[i, vis_i] - log_base[vis_i]
+
+
+def reference_best_response(market, prices, i):
+    """The best response with whole-array numpy per share vector, kept as an
+    oracle; returns (price, arm) with arm "stationary", "capacity" or "none".
+
+    seller_best_response must give the same price bit for bit, or raise the
+    same SolverError.
+    """
+    z = reference_rival_logits(market, prices, i)
+    if z.size == 0:
+        return 0.0, "none"
+    box = market.price_box()
+    cap = float(market.capacities[i])
+
+    def shares(p):
+        return _sigmoid(z - p)
+
+    def marginal(p, q):
+        return float((q * (1.0 - p * (1.0 - q))).sum())
+
+    def minus_marginal(p):
+        q = shares(p)
+        slope = float(((q * q - q) * (2.0 + 2.0 * p * q - p)).sum())
+        return -marginal(p, q), -slope
+
+    if marginal(box, shares(box)) > 0.0:
+        raise SolverError(f"stationary price of seller {i} exceeds the search box")
+    p = _newton(minus_marginal, min(2.0, box), 0.0, box, 1e-12, None)
+    demand = float(shares(p).sum())
+    if demand <= cap:
+        return p, "stationary"
+    lo, hi = p, box
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        q = shares(mid)
+        d = float(q.sum()) - cap
+        if abs(d) < 1e-12:
+            return mid, "capacity"
+        if d > 0.0:
+            lo = mid
+        else:
+            hi = mid
+        slope = float(-(q * (1.0 - q)).sum())
+        nxt = mid - d / slope
+        if lo < nxt < hi:
+            q = shares(nxt)
+            d = float(q.sum()) - cap
+            if abs(d) < 1e-12:
+                return nxt, "capacity"
+            if d > 0.0:
+                lo = nxt
+            else:
+                hi = nxt
+    return 0.5 * (lo + hi), "capacity"
+
+
+def reference_gains(market, p):
+    """Best-response gains with one full demand solve per utility."""
+    gains = []
+    for i in range(market.sellers):
+        trial = p.copy()
+        trial[i] = seller_best_response(market, p, i)
+        gains.append(seller_utility(market, trial, i) - seller_utility(market, p, i))
+    return gains
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+def assert_responds_like_reference(market, prices, i):
+    """seller_best_response and _rival_logits equal their oracles bit for
+    bit, or both raise the same SolverError; returns the oracle's arm."""
+    assert bits(_rival_logits(market, prices, i)) == bits(reference_rival_logits(market, prices, i))
+    try:
+        want, arm = reference_best_response(market, prices, i)
+    except SolverError as exc:
+        with pytest.raises(SolverError) as info:
+            seller_best_response(market, prices, i)
+        assert str(info.value) == str(exc)
+        return "box"
+    assert bits(seller_best_response(market, prices, i)) == bits(want)
+    return arm
 
 
 def single_buyer_market(thetas, capacities=None):
@@ -222,6 +324,149 @@ class TestBestResponse:
             network_demand(mkt, [p, 1.0])[0].sum() for p in (0.5, 1.0, 2.0, 4.0)
         ]
         assert all(b < a for a, b in zip(totals, totals[1:]))
+
+
+class TestBestResponseMatchesReference:
+    """The buffered share kernel over i's visible columns moves no bit."""
+
+    def arms(self, market, prices):
+        return [assert_responds_like_reference(market, prices, i) for i in range(market.sellers)]
+
+    def test_random_markets_take_both_arms(self):
+        # 12 sellers make numpy sum an F-ordered column block pairwise, which
+        # differs from the full-width row-order sum.
+        rng = np.random.default_rng(211)
+        seen = set()
+        for n, m, density, top in [(12, 40, 0.6, 1), (12, 40, 0.6, 40), (16, 25, 0.9, 3),
+                                   (9, 60, 0.3, 5), (20, 8, 0.5, 2)]:
+            vis = rng.random((n, m)) < density
+            market = BipartiteMarket(rng.uniform(-1.0, 2.3, (n, m)), visibility=vis,
+                                     capacities=rng.integers(1, top + 1, n))
+            seen.update(self.arms(market, rng.uniform(0.0, 4.0, n)))
+        assert {"stationary", "capacity"} <= seen
+
+    def test_solver_sweeps_match_reference(self):
+        # Every response of a whole-market solve, at the prices it met.
+        rng = np.random.default_rng(223)
+        n, m = 10, 30
+        market = BipartiteMarket(rng.uniform(-1.0, 2.3, (n, m)), visibility=rng.random((n, m)) < 0.7,
+                                 capacities=rng.integers(1, 5, n))
+        p = np.ones(n)
+        for _ in range(3):
+            for i in range(n):
+                assert_responds_like_reference(market, p, i)
+                p[i] = seller_best_response(market, p, i)
+
+    def test_seller_without_buyers(self):
+        market = BipartiteMarket([[2.0, 1.0], [1.0, 0.5]], visibility=[[True, True], [False, False]])
+        assert self.arms(market, [1.0, 1.0]) == ["stationary", "none"]
+        assert seller_best_response(market, [1.0, 1.0], 1) == 0.0
+
+    def test_one_buyer(self):
+        # A single-buyer market sums its one column pairwise, full width and
+        # restricted alike; a seller that sees one buyer of several must add
+        # its column's rows in order, as the full-width sum does.
+        rng = np.random.default_rng(227)
+        for n in (1, 2, 9, 12, 30):
+            market = BipartiteMarket(rng.uniform(-1.0, 2.3, (n, 1)), capacities=[1] * n)
+            self.arms(market, rng.uniform(0.0, 4.0, n))
+            vis = rng.random((n, 6)) < 0.8
+            vis[0] = [False, False, True, False, False, False]
+            market = BipartiteMarket(rng.uniform(-1.0, 2.3, (n, 6)), visibility=vis)
+            for _ in range(5):
+                assert_responds_like_reference(market, rng.uniform(0.0, 4.0, n), 0)
+
+    def test_rival_columns_all_invisible(self):
+        rng = np.random.default_rng(229)
+        vis = rng.random((10, 12)) < 0.7
+        vis[0, :5] = True
+        vis[1:, :5] = False  # only seller 0 sees buyers 0-4
+        market = BipartiteMarket(rng.uniform(-1.0, 2.3, (10, 12)), visibility=vis,
+                                 capacities=[1] * 10)
+        assert set(self.arms(market, rng.uniform(0.0, 4.0, 10))) <= {"stationary", "capacity"}
+        logits = _rival_logits(market, rng.uniform(0.0, 4.0, 10), 0)
+        assert bits(logits[:5]) == bits(market.theta[0, :5])
+
+    def test_single_seller_pool_markets(self):
+        # equilibrate_pool's markets: one seller, its pool's buyers, price 1.
+        rng = np.random.default_rng(233)
+        seen = set()
+        for k in (1, 2, 7, 40, 300):
+            for cap in (1, max(1, k // 3), k):
+                market = BipartiteMarket(rng.uniform(-1.0, 2.3, k).reshape(1, -1), capacities=[cap])
+                seen.add(assert_responds_like_reference(market, np.array([1.0]), 0))
+        assert {"stationary", "capacity"} <= seen
+
+    def test_underflowing_qualities(self):
+        # theta = -800: e^{theta - p} underflows to 0.0 in weights and shares.
+        rng = np.random.default_rng(239)
+        theta = rng.uniform(-1.0, 2.3, (10, 20))
+        theta[rng.random((10, 20)) < 0.3] = -800.0
+        theta[3] = -800.0
+        market = BipartiteMarket(theta, capacities=[2] * 10)
+        self.arms(market, rng.uniform(0.0, 4.0, 10))
+        self.arms(BipartiteMarket([[-800.0, 1.0]]), [1.0])
+
+    def test_non_finite_rival_prices(self):
+        # A rival that sees none of seller 0's buyers does not move its
+        # response, whatever its price.
+        rng = np.random.default_rng(251)
+        vis = rng.random((9, 10)) < 0.7
+        vis[8], vis[:, 9] = False, False
+        vis[[3, 8], 9] = True  # seller 8 sees only buyer 9, which seller 3 sees and seller 0 does not
+        market = BipartiteMarket(rng.uniform(-1.0, 2.3, (9, 10)), visibility=vis)
+        prices = rng.uniform(0.0, 4.0, 9)
+        base = seller_best_response(market, prices, 0)
+        for bad in (math.nan, -math.inf, math.inf):
+            prices[8] = bad
+            assert bits(seller_best_response(market, prices, 0)) == bits(base)
+            # At -inf, buyer 9's weights take inf - inf, in the oracle's
+            # full-width pass for seller 0 too.
+            with np.errstate(invalid="ignore"):
+                assert_responds_like_reference(market, prices, 0)
+                assert_responds_like_reference(market, prices, 3)
+
+    def test_box_error(self):
+        # One buyer of quality 20 prices past the one-buyer box of 13.
+        market = BipartiteMarket([[20.0], [1.0]], capacities=[1, 1])
+        assert self.arms(market, [1.0, 1.0]) == ["box", "stationary"]
+        with pytest.raises(SolverError, match="exceeds the search box"):
+            seller_best_response(market, [1.0, 1.0], 0)
+
+    def test_hypothesis_markets(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        quality = st.one_of(st.floats(-1.5, 2.3), st.sampled_from([-800.0, 0.0, 2.3]))
+
+        @st.composite
+        def cases(draw):
+            n, m = draw(st.integers(1, 12)), draw(st.integers(1, 9))
+            theta = draw(st.lists(st.lists(quality, min_size=m, max_size=m), min_size=n, max_size=n))
+            vis = draw(st.lists(st.lists(st.booleans(), min_size=m, max_size=m), min_size=n, max_size=n))
+            caps = draw(st.lists(st.integers(1, m), min_size=n, max_size=n))
+            prices = draw(st.lists(st.floats(0.0, 4.0), min_size=n, max_size=n))
+            return BipartiteMarket(theta, visibility=vis, capacities=caps), prices
+
+        @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+        @hypothesis.given(case=cases())
+        def check(case):
+            self.arms(*case)
+
+        check()
+
+    def test_gains_match_per_seller_utilities(self):
+        # One demand solve for the base utilities gives the loop's bits.
+        rng = np.random.default_rng(241)
+        for _ in range(12):
+            n, m = int(rng.integers(1, 9)), int(rng.integers(1, 12))
+            market = BipartiteMarket(rng.uniform(-1.0, 2.3, (n, m)), visibility=rng.random((n, m)) < 0.8,
+                                     capacities=rng.integers(1, m + 1, n))
+            p = rng.uniform(0.0, 4.0, n)
+            want = reference_gains(market, p)
+            assert bits(_best_response_gains(market, p, network_demand(market, p))) == bits(want)
+            assert bits(verify_equilibrium(market, p).best_response_gains) == bits(want)
+            rep = solve_network_equilibrium(market, max_iters=50)
+            assert bits([rep.residual]) == bits([max([0.0, *reference_gains(market, np.array(rep.prices))])])
 
 
 class TestConsistency:
