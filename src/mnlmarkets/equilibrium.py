@@ -25,7 +25,9 @@ rounds to 1 has no finite price and raises DomainError, as do qualities
 so large that the no-purchase solve meets a subnormal q0 above its root.
 
 ``_solve_outcome`` solves one assortment; ``_solve_masks`` solves many at
-once in numpy and gives the same bits (see its docstring).
+once in numpy and gives the same bits (see its docstring). Its exp, log and
+log1p run numpy's scalar loop over the platform libm, the function ``math``
+calls, once each has matched ``math`` on a fixed probe (see ``_libm``).
 """
 
 from __future__ import annotations
@@ -76,6 +78,7 @@ _MAX_ITER = 200
 _Q0_MAX_ITER = 1100
 _Q0_SUBNORMAL = "qualities too large: the no-purchase share is subnormal"
 _SHARE_ROUNDS_TO_ONE = "quality too large: an equilibrium share rounds to 1"
+_LN_LEAST_SUBNORMAL = math.log(5e-324)
 # Masks per block of _solve_masks, to bound its temporaries. At n = 12 one
 # 4095-mask block peaks at 5.7 MB under tracemalloc, 512-mask blocks at
 # 1.25 MB, with no difference in speed beyond run-to-run noise; 256-mask
@@ -203,7 +206,9 @@ def _share_from_log(lx: float) -> float:
     increasing left side, so a bracketed Newton iteration cannot fail. Working
     with w keeps full precision when y approaches 1 (lx large).
 
-    Returns 0.0, the correctly rounded root, when exp(lx) underflows to 0.0.
+    Returns 0.0, the correctly rounded root, when exp(lx) underflows to 0.0,
+    and stops at the least subnormal when the root lies between it and half
+    of it, where the bisection midpoint is 0.0 and ln 0.0 does not exist.
     Raises DomainError when the root rounds to 1.0, where the equilibrium
     price 1/(1 - y) does not exist in floating point.
 
@@ -233,7 +238,7 @@ def _share_from_log(lx: float) -> float:
         nxt = w - step
         if not lo < nxt < hi:
             nxt = 0.5 * (lo + hi) if math.isfinite(hi) else 2.0 * w
-        if nxt == w:
+        if nxt == w or nxt == 0.0:
             break
         w = nxt
     else:
@@ -320,14 +325,78 @@ def _sequential_sum(values: Iterable[float]) -> float:
     return total
 
 
-def _libm(fn, values: list[float]) -> np.ndarray:
-    """``fn`` (a ``math`` function) applied to each float of a list, as an array.
+# The ufunc that computes each math function (see _libm).
+_UFUNCS = {math.exp: np.exp, math.log: np.log, math.log1p: np.log1p}
 
-    numpy's vectorized exp, log and log1p differ from libm in the last bit
-    on a few percent of arguments, so the batched solvers call libm one
-    element at a time to keep every iterate equal to the scalar solver's.
+
+def _mapped(fn, values: np.ndarray) -> np.ndarray:
+    """``fn`` called on each element from Python."""
+    return np.fromiter(map(fn, values.tolist()), float, values.size)
+
+
+def _reversed_out(ufunc, values: np.ndarray) -> np.ndarray:
+    """``ufunc`` of a contiguous array, written into a negative-stride view."""
+    return ufunc(np.ascontiguousarray(values), out=np.empty(values.size)[::-1])
+
+
+def _probe_arguments(fn) -> np.ndarray:
+    """Fixed arguments on which _exact_ufunc compares ``fn`` with its ufunc.
+
+    Arguments near 0 (exp) and near 1 (log, log1p) are where numpy's SIMD
+    loops round differently from libm: on a 2-core AVX-512 x86-64 with numpy
+    2.4, its contiguous loops disagree on 4.4% (exp), 0.4% (log) and 12%
+    (log1p) of them. The wide draws span every binade the solvers reach,
+    subnormals included, and the specials sit at the underflow and overflow
+    edges. Every argument is one math accepts without raising.
     """
-    return np.fromiter(map(fn, values), float, len(values))
+    rng = np.random.default_rng(20200610)
+    if fn is math.exp:
+        near = rng.uniform(-1.0, 1.0, 2048)
+        wide = rng.uniform(-746.0, 709.0, 2048)
+        special = [0.0, -0.0, 5e-324, -708.4, -744.4, -745.1, -745.2, 709.78]
+    else:
+        near = rng.uniform(0.0, 2.0, 2048)
+        exponents = np.floor(rng.uniform(-1074.0, 1024.0, 2048)).astype(np.intc)
+        wide = np.ldexp(rng.uniform(1.0, 2.0, 2048), exponents)
+        special = [5e-324, 1e-310, sys.float_info.min, 1.0, sys.float_info.max]
+    return np.concatenate([near, special, wide])
+
+
+@lru_cache(maxsize=None)
+def _exact_ufunc(fn):
+    """``_UFUNCS[fn]`` if _reversed_out with it returns fn's bits, else None.
+
+    Checked once per process, on first use and never at import, on every
+    prefix of 2 to 17 probe arguments and on the whole set.
+    """
+    ufunc = _UFUNCS[fn]
+    args = _probe_arguments(fn)
+    with np.errstate(all="ignore"):
+        for k in (*range(2, 18), args.size):
+            got, want = _reversed_out(ufunc, args[:k]), _mapped(fn, args[:k])
+            if not np.array_equal(got.view(np.int64), want.view(np.int64)):
+                return None
+    return ufunc
+
+
+def _libm(fn, values: np.ndarray) -> np.ndarray:
+    """``fn`` (a ``math`` function) of each element of a 1-D array, with math's bits.
+
+    numpy's contiguous exp, log and log1p loops are SIMD code that differs
+    from libm in the last bit on a few percent of arguments. Into a
+    negative-stride output the same ufunc runs numpy's scalar loop, which
+    calls the platform libm per element, as math does, at C speed. That
+    rests on how numpy dispatches, not on its documentation, so each
+    function is checked against math once (_exact_ufunc) and keeps the
+    Python-level map if the check fails. A 1-element view counts as
+    contiguous and takes the SIMD loop, so fewer than 2 elements map too.
+    Where math raises (log of 0.0, exp overflow) the ufunc returns -inf or
+    inf; the solvers never pass such arguments.
+    """
+    ufunc = _exact_ufunc(fn) if values.size >= 2 else None
+    if ufunc is None:
+        return _mapped(fn, values)
+    return _reversed_out(ufunc, values)
 
 
 def _shares_from_log(lx: np.ndarray) -> np.ndarray:
@@ -339,7 +408,7 @@ def _shares_from_log(lx: np.ndarray) -> np.ndarray:
     """
     w = lx.copy()
     small = lx <= 1.0
-    w[small] = _libm(math.exp, lx[small].tolist())
+    w[small] = _libm(math.exp, lx[small])
     y = np.zeros_like(lx)  # where exp(lx) underflows to 0.0 the root is 0.0
     act = np.flatnonzero(w != 0.0)
     w, lx = w[act], lx[act]
@@ -347,15 +416,14 @@ def _shares_from_log(lx: np.ndarray) -> np.ndarray:
     for _ in range(_MAX_ITER):
         if not act.size:
             break
-        values = w.tolist()
-        f = w + _libm(math.log, values) - _libm(math.log1p, values) - lx
+        f = w + _libm(math.log, w) - _libm(math.log1p, w) - lx
         up = f > 0.0
         hi = np.where(up, w, hi)
         lo = np.where(up, lo, w)
         nxt = w - f / (1.0 + 1.0 / (w * (1.0 + w)))
         fallback = np.where(np.isfinite(hi), 0.5 * (lo + hi), 2.0 * w)
         nxt = np.where((lo < nxt) & (nxt < hi), nxt, fallback)
-        done = (np.abs(f) < 1e-14) | (nxt == w)
+        done = (np.abs(f) < 1e-14) | (nxt == w) | (nxt == 0.0)
         y[act[done]] = w[done] / (1.0 + w[done])
         go = ~done
         act, w, lx, lo, hi = act[go], nxt[go], lx[go], lo[go], hi[go]
@@ -382,7 +450,7 @@ def _solve_mask_block(theta: np.ndarray, masks: np.ndarray) -> tuple[np.ndarray,
         qa = q0[act]
         # One ln q0 per distinct q0, one share per (q0, member item).
         distinct, at = np.unique(qa, return_inverse=True)
-        ln_q0 = _libm(math.log, distinct.tolist())
+        ln_q0 = _libm(math.log, distinct)
         lq[act] = ln_q0[at]
         rows, cols = np.nonzero(m)
         needed = np.zeros((distinct.size, n), dtype=bool)
@@ -438,8 +506,10 @@ def _solve_masks(qualities: Sequence[float], masks: np.ndarray) -> tuple[np.ndar
     ln q0 + (theta_i - 1), so sharing it cannot move a bit, and in the
     first rounds, whose q0 are 0.5 and the bisection points, it skips most
     solves. numpy does the control flow and all + - * / and comparisons,
-    which are IEEE-exact; every exp, log and log1p is a libm call per
-    element (see _libm). Sums add in member order from the same start.
+    which are IEEE-exact; every exp, log and log1p is libm's, through
+    numpy's scalar loop or, if that fails its probe against math, one
+    math call per element (see _libm). Sums add in member order from the
+    same start.
     Masks are solved in blocks of _MASK_BLOCK to bound the temporaries.
     Raises what the scalar path raises: SolverError at either iteration cap,
     and DomainError where a share rounds to 1 or q0 is subnormal.
@@ -576,13 +646,17 @@ def solo_revenue_for_quality(theta: float) -> float:
 
     Inverse of :func:`quality_for_target_revenue`: solves r + ln r = theta - 1
     in r-space, which stays stable for arbitrarily large theta where the
-    general q0 route would overflow.
+    general q0 route would overflow. Below ln of the least subnormal the
+    root rounds to e^{theta - 1}, which is then 0.0 or the least subnormal:
+    Newton could only bisect it to 0.0, where ln r does not exist.
     """
     target = float(theta) - 1.0
     if not math.isfinite(target):
         raise DomainError("quality must be finite")
     # r + ln r is increasing; Newton from r ~ target or e^{target}.
     r = target if target > 1.0 else math.exp(min(target, 1.0))
+    if target < _LN_LEAST_SUBNORMAL:
+        return r
     return _newton(lambda r: (r + math.log(r) - target, 1.0 + 1.0 / r),
                    r, 0.0, math.inf, 1e-12 * max(1.0, abs(target)),
                    "solo revenue iteration did not converge")

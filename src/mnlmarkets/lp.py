@@ -20,9 +20,10 @@ simulation engine all read these arrays, and ``ColumnSet.columns`` builds a
 Column record only when one is indexed. Catalogs of _BATCH_MIN_ITEMS items
 or more are solved by the batched kernel ``equilibrium._solve_masks``, which
 repeats the scalar solver's iterates for every mask (numpy for the control
-flow and the exact + - * /, libm per element for exp, log and log1p), so
-both paths give the same bits; smaller catalogs run the scalar solver per
-mask, where batching costs more than it saves.
+flow and the exact + - * /, and libm's own exp, log and log1p through
+numpy's scalar loop, checked against math on first use), so both paths
+give the same bits; smaller catalogs run the scalar solver per mask, where
+batching costs more than it saves.
 
 The LP takes finite data and is solved by a dense-tableau simplex with
 Bland's anti-cycling rule. The tableau has n + 2 rows but one column per
@@ -45,8 +46,8 @@ from .equilibrium import DomainError, ItemCatalog, SolverError, _solve_masks, _s
 _MAX_COLUMNS_EXPONENT = 20
 # Smallest catalog enumerated by the batched kernel, which costs about 1 ms
 # of numpy calls per catalog. Median time per catalog, scalar loop vs batch
-# (2-core x86-64, Python 3.11, numpy 2.4): n = 1 0.03 vs 1.1 ms, n = 5 1.4
-# vs 2.0 ms, n = 6 2.6 vs 2.3 ms, n = 12 546 vs 218 ms.
+# (2-core x86-64, Python 3.11, numpy 2.4): n = 1 0.05 vs 1.2 ms, n = 5 1.4
+# vs 2.4 ms, n = 6 4.8 vs 3.9 ms, n = 12 588 vs 87 ms.
 _BATCH_MIN_ITEMS = 6
 _PIVOT_TOL = 1e-9
 

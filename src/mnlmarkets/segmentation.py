@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import DomainError, _sequential_sum
+from .equilibrium import DomainError, _libm, _sequential_sum
 from .network import (
     BipartiteMarket,
     EquilibriumReport,
@@ -111,15 +111,19 @@ def unit_price_weight(theta: float) -> float:
 
 
 def build_flow_network(market: BipartiteMarket) -> FlowNetwork:
-    """Assemble the segmentation network with fixed-point arc weights."""
-    weights = np.array(
-        [
-            [round(WEIGHT_SCALE * unit_price_weight(t)) if v else _NO_ARC
-             for t, v in zip(thetas, visible)]
-            for thetas, visible in zip(market.theta.tolist(), market.visibility.tolist())
-        ],
-        dtype=np.int64,
-    ).reshape(market.sellers, market.buyers)
+    """Assemble the segmentation network with fixed-point arc weights.
+
+    Each visible pair weighs round(WEIGHT_SCALE * unit_price_weight(theta))
+    to the bit: the exponentials are libm's (equilibrium._libm), the rest
+    is IEEE-exact, and np.rint rounds half to even as round() does.
+    """
+    offset = market.theta - 1.0
+    weights = np.full(offset.shape, _NO_ARC, dtype=np.int64)
+    weights[market.visibility] = WEIGHT_SCALE  # the weight once theta - 1 >= 500
+    with np.errstate(all="ignore"):  # invisible pairs may hold any theta
+        near = market.visibility & (offset < 500)
+    e = _libm(math.exp, offset[near])
+    weights[near] = np.rint(WEIGHT_SCALE * (e / (1.0 + e)))
     weights.setflags(write=False)
     return FlowNetwork(market=market, weights=weights)
 

@@ -83,6 +83,12 @@ class TestEquilibriumCommand:
         code, _, _ = run(["equilibrium", catalog_path, "--perishable"], capsys)
         assert code == 2
 
+    def test_share_just_above_the_underflow(self, tmp_path, capsys):
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({"schema": 1, "qualities": [-744], "inventories": [1]}))
+        code, out, _ = run(["equilibrium", str(path)], capsys)
+        assert code == 0 and json.loads(out)["demands"] == [5e-324]
+
     def test_round_trip(self, catalog_path, capsys):
         code, out, _ = run(["equilibrium", catalog_path, "--items", "all"], capsys)
         doc = json.loads(out)
@@ -131,6 +137,14 @@ class TestOptCommand:
         path = tmp_path / "cat.json"
         path.write_text(json.dumps({"schema": 1, "qualities": [1.0, 2.0], "inventories": inventories}))
         assert_one_error_line(*run(["opt", str(path), "--buyers", str(buyers)], capsys))
+
+    def test_shares_just_above_the_underflow(self, tmp_path, capsys):
+        # Six items, so the columns come from the batched kernel.
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({"schema": 1, "qualities": [-744, -745.5, -746, 0, 1, 2],
+                                    "inventories": [1] * 6}))
+        code, out, _ = run(["opt", str(path), "--buyers", "3"], capsys)
+        assert code == 0 and json.loads(out)["objective"] > 0.0
 
     def test_columns_of_one_catalog_are_kept(self, tmp_path, catalog_path, capsys):
         other = tmp_path / "other.json"
@@ -228,6 +242,13 @@ class TestSimulateCommand:
         path.write_text(json.dumps(catalog))
         code, out, _ = run(["opt", str(path), "--buyers", "3"], capsys)
         assert code == 0 and json.loads(out)["objective"] > 0.0
+
+    def test_hybrid_with_a_negligible_item(self, tmp_path, capsys):
+        # The solo revenue of theta = -800 underflows to 0.0.
+        catalog = {"schema": 1, "qualities": [2.0, -800.0], "inventories": [2, 2]}
+        code, out, _ = run(["simulate", "--config", self.make_config(tmp_path, catalog=catalog)],
+                           capsys)
+        assert code == 0 and len(out.strip().split("\n")) == 3
 
     @pytest.mark.parametrize("field, drop", [
         ({"buyers_sweep": [2.7]}, ()),

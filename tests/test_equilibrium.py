@@ -8,10 +8,16 @@ V-function route.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mnlmarkets
+from mnlmarkets import equilibrium
 from mnlmarkets.equilibrium import (
     _MAX_ITER,
     DomainError,
@@ -435,6 +441,26 @@ class TestExtremeQualities:
         # A subnormal first guess still runs the Newton iteration.
         assert 0.0 < _share_from_log(-740.0) < 1e-300
 
+    def test_share_root_below_the_least_subnormal_stops_there(self):
+        # Between ln 2**-1075 and ln 2**-1074 the root rounds to 5e-324, and
+        # the bisection from it reaches 0.0, where ln does not exist.
+        tiny = math.log(5e-324)
+        for lx in np.linspace(tiny - math.log(2.0), tiny, 52)[1:-1].tolist():
+            assert _share_from_log(lx) == 5e-324
+        assert equilibrium_outcome(ItemCatalog([-744.0], [1]), (0,)).demands == (5e-324,)
+
+    def test_solo_revenue_below_the_least_subnormal_is_the_rounded_root(self):
+        # Where e^{theta - 1} is 0.0 or 5e-324 it is the root r of
+        # r + ln r = theta - 1 correctly rounded, since r e^r = e^{theta - 1}.
+        thetas = np.linspace(-746.5, -743.0, 701).tolist()
+        revenues = [solo_revenue_for_quality(t) for t in thetas]
+        assert revenues == sorted(revenues)
+        for theta, r in zip(thetas, revenues):
+            if theta - 1.0 < math.log(5e-324):
+                assert r == math.exp(theta - 1.0) and r in (0.0, 5e-324)
+        assert solo_revenue_for_quality(-800.0) == 0.0
+        assert solo_revenue_for_quality(-744.0) == 5e-324
+
     def test_lone_negligible_item_sells_nothing(self):
         out = equilibrium_outcome(ItemCatalog([-800.0], [1]), (0,))
         assert out.demands == (0.0,) and out.prices == (1.0,)
@@ -554,3 +580,105 @@ class TestBestResponseShareRoundsToOne:
         assert math.isfinite(p) and 1.0 < p < 60.0
         q = mnl_demand([40.0, 1.0], [p, 1.0])[0]
         assert abs(1.0 - p * (1.0 - q)) < 1e-9
+
+
+def assert_same_bits(got, want):
+    """Equal as int64 views, so the sign of zero counts."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.fixture
+def fresh_probe():
+    """Forget which ufuncs passed the probe, before and after the test."""
+    equilibrium._exact_ufunc.cache_clear()
+    yield
+    equilibrium._exact_ufunc.cache_clear()
+
+
+LIBM = (math.exp, math.log, math.log1p)
+SPECIAL = {
+    math.exp: [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e-300, -1e-300, 0.5, -1.0,
+               -708.4, -744.4400719213812, -744.5, -745.1332191019411, -745.2, -800.0,
+               709.782712893384],
+    math.log: [5e-324, 1e-323, 1e-310, 2.2250738585072014e-308, 0.5, 1.0,
+               math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0), 2.0, 1e300,
+               1.7976931348623157e308],
+    math.log1p: [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e-300, 1e-16, 0.5, 1.0,
+                 -0.5, math.nextafter(-1.0, 0.0), 1e300, 1.7976931348623157e308],
+}
+
+
+def domain_sample(fn, rng, size):
+    """Arguments over the whole range each solver passes ``fn``."""
+    if fn is math.exp:
+        return rng.uniform(-746.0, 1.0, size)
+    return np.ldexp(rng.uniform(1.0, 2.0, size), rng.integers(-1074, 1024, size))
+
+
+class TestExactLibm:
+    """``_libm`` returns math's bits on either of its paths."""
+
+    @pytest.mark.parametrize("fn", LIBM, ids=lambda fn: fn.__name__)
+    def test_every_size_from_0_to_17(self, fn):
+        # The probe's first 2048 arguments are where numpy's SIMD loops
+        # round differently from libm, so a size that took them would fail.
+        args = equilibrium._probe_arguments(fn)[:2048]
+        for k in range(18):
+            for start in range(0, args.size - k, k + 1):
+                values = args[start:start + k]
+                assert_same_bits(equilibrium._libm(fn, values), [fn(v) for v in values.tolist()])
+
+    @pytest.mark.parametrize("fn", LIBM, ids=lambda fn: fn.__name__)
+    def test_a_hundred_thousand_arguments(self, fn):
+        values = domain_sample(fn, np.random.default_rng(17), 10**5)
+        assert_same_bits(equilibrium._libm(fn, values), [fn(v) for v in values.tolist()])
+
+    @pytest.mark.parametrize("fn", LIBM, ids=lambda fn: fn.__name__)
+    def test_special_values(self, fn):
+        values = np.array(SPECIAL[fn])
+        assert_same_bits(equilibrium._libm(fn, values), [fn(v) for v in values.tolist()])
+        for v in values:
+            assert_same_bits(equilibrium._libm(fn, np.array([v])), [fn(v)])
+
+    def test_input_layout_does_not_matter(self):
+        values = equilibrium._probe_arguments(math.exp)[:2048]
+        want = [math.exp(v) for v in values.tolist()]
+        assert_same_bits(equilibrium._libm(math.exp, values[::-1])[::-1], want)
+        assert_same_bits(equilibrium._libm(math.exp, values.reshape(2, -1)[0]), want[:1024])
+        assert_same_bits(equilibrium._libm(math.exp, values[::2]), want[::2])
+
+    @pytest.mark.parametrize("fn", LIBM, ids=lambda fn: fn.__name__)
+    def test_a_one_ulp_disagreement_keeps_the_map(self, monkeypatch, fresh_probe, fn):
+        # Off by one ulp on one probe argument only, the last one checked.
+        args = equilibrium._probe_arguments(fn)
+        odd = args[-1]
+        exact = equilibrium._UFUNCS[fn]
+
+        def one_ulp_off(x, out):
+            exact(x, out=out)
+            np.copyto(out, np.nextafter(out, np.inf), where=x == odd)
+            return out
+
+        monkeypatch.setitem(equilibrium._UFUNCS, fn, one_ulp_off)
+        assert equilibrium._exact_ufunc(fn) is None
+        values = np.append(args[:64], odd)
+        assert_same_bits(equilibrium._libm(fn, values), [fn(v) for v in values.tolist()])
+
+    def test_probe_runs_on_first_use_not_at_import(self):
+        script = (
+            "import math, numpy as np, mnlmarkets, mnlmarkets.cli\n"
+            "from mnlmarkets import equilibrium as e\n"
+            "probed = e._exact_ufunc.cache_info\n"
+            "assert probed().currsize == 0\n"
+            "e._libm(math.exp, np.zeros(1))\n"
+            "assert probed().currsize == 0\n"
+            "e._libm(math.exp, np.zeros(2))\n"
+            "e._libm(math.exp, np.zeros(3))\n"
+            "assert (probed().currsize, probed().misses) == (1, 1)\n"
+        )
+        src = str(Path(mnlmarkets.__file__).resolve().parent.parent)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=60, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr

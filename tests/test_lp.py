@@ -555,6 +555,25 @@ class TestBatchedKernel:
         with pytest.raises(DomainError, match="subnormal"):
             _solve_masks(cat.qualities, np.arange(1, 1 << len(cat)))
 
+    def test_map_path_gives_the_same_bits(self, monkeypatch):
+        # As on a host whose numpy fails the libm probe.
+        monkeypatch.setattr(equilibrium, "_exact_ufunc", lambda fn: None)
+        assert_kernel_matches_scalar(LP_PLAN_TWELVE)
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["ufunc", "map"])
+    def test_share_roots_at_the_underflow_edge(self, monkeypatch, exact):
+        # Through (ln 2**-1075, ln 2**-1074) the bisection midpoint is 0.0,
+        # whose log the map path raised on and the ufunc path makes -inf.
+        if not exact:
+            monkeypatch.setattr(equilibrium, "_exact_ufunc", lambda fn: None)
+        lx = np.linspace(-745.2, -744.4, 4001)
+        want = np.array([equilibrium._share_from_log(x) for x in lx.tolist()])
+        with np.errstate(all="ignore"):  # as inside _solve_masks
+            assert_same_bits(equilibrium._shares_from_log(lx), want)
+        assert {0.0, 5e-324} == set(want[lx < math.log(5e-324)].tolist())
+        assert_kernel_matches_scalar([-744.0, -745.5, -746.0, 0.0, 1.0, 2.0])
+        assert_kernel_matches_scalar(np.linspace(-744.45, -745.1, 7).tolist())
+
     def test_twelve_item_enumeration_peaks_under_2_mb(self):
         # The result arrays are 0.43 MB; 512-mask blocks bound the rest.
         cat = ItemCatalog(np.linspace(3.4, -1.8, 12), [3] * 12)
@@ -618,7 +637,12 @@ class TestLpPlanSolves:
             for sol, values in ((solve_opt(catalog, buyers), cols.revenues),
                                 (solve_opt_fixed_rev(catalog, buyers, r), fixed)):
                 rows, rhs, c = lp_of(catalog, buyers, values)
-                highs = optimize.linprog(-c, A_ub=rows, b_ub=rhs, bounds=(0, None), method="highs")
+                # At its default 1e-7 feasibility tolerances HiGHS can stop
+                # at a vertex 1e-9 short of the optimum, as on qualities
+                # [0, 0, 0, 1e-7]; the oracle must be finer than the check.
+                highs = optimize.linprog(
+                    -c, A_ub=rows, b_ub=rhs, bounds=(0, None), method="highs",
+                    options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10})
                 assert highs.status == 0
                 assert sol.objective == pytest.approx(-highs.fun, rel=1e-9, abs=1e-12)
                 res = simplex_solve(rows, rhs, c)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from mnlmarkets.equilibrium import DomainError, _sequential_sum
 from mnlmarkets.network import BipartiteMarket
 from mnlmarkets.segmentation import (
+    _NO_ARC,
     WEIGHT_SCALE,
     FlowAssignment,
     Pool,
@@ -86,6 +88,27 @@ class TestBuildNetwork:
             theta = float(mkt.theta[i, k])
             assert net.weights[i, k] == round(WEIGHT_SCALE * unit_price_weight(theta))
         assert (net.weights[~mkt.visibility] < 0).all()
+
+    def test_weight_matrix_equals_the_scalar_expression(self):
+        # theta - 1 at 499, 500 and 800 straddles unit_price_weight's cut;
+        # invisible pairs may hold any theta, nan and infinities included.
+        rng = np.random.default_rng(29)
+        theta = rng.uniform(-40.0, 40.0, (6, 50))
+        theta[0, :3] = [500.0, 501.0, 801.0]
+        visible = rng.random((6, 50)) < 0.7
+        visible[0, :3] = True
+        theta[1, :3], visible[1, :3] = [math.nan, math.inf, -math.inf], False
+        mkt = BipartiteMarket(theta, visibility=visible, capacities=[2] * 6)
+        want = np.array([
+            [round(WEIGHT_SCALE * unit_price_weight(t)) if v else _NO_ARC
+             for t, v in zip(row, seen)]
+            for row, seen in zip(theta.tolist(), visible.tolist())
+        ], dtype=np.int64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = build_flow_network(mkt).weights
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+        assert got[0, :3].tolist() == [WEIGHT_SCALE] * 3
 
     def test_unit_price_weight_values(self):
         assert unit_price_weight(1.0) == pytest.approx(0.5, abs=1e-15)
