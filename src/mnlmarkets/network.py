@@ -15,10 +15,11 @@ equals capacity. Convergence of the dynamics is not guaranteed by theory, so
 non-convergence is reported in the result rather than raised; the report's
 residual (the largest unilateral gain) is computed on first access.
 
-A best response reads only the columns of the seller's visible buyers and
-evaluates its share vectors in preallocated buffers. Both keep the bits of
-the whole-array expressions they replace, which the tests check against
-those expressions.
+A best response reads only the columns of the seller's visible buyers,
+which the market lists once per seller, and evaluates its share vectors in
+preallocated buffers with 0-d array operands. Both keep the bits of the
+whole-array expressions they replace, which the tests check against those
+expressions.
 """
 
 from __future__ import annotations
@@ -35,6 +36,17 @@ from .equilibrium import DomainError, SolverError, _newton, real_number, whole_n
 
 CONSISTENT_SHARE_CAP = 0.91
 _BR_TOL = 1e-12
+
+
+def _constant(value: float) -> np.ndarray:
+    """A read-only 0-d float64 array. As a ufunc operand it costs less than
+    a Python float, which numpy converts on every call."""
+    array = np.array(value, dtype=float)
+    array.setflags(write=False)
+    return array
+
+
+_ONE, _TWO, _MINUS_ONE = _constant(1.0), _constant(2.0), _constant(-1.0)
 
 
 @dataclass(frozen=True)
@@ -81,6 +93,18 @@ class BipartiteMarket:
         masked.setflags(write=False)
         return masked
 
+    @cached_property
+    def _seller_columns(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per seller, its visible buyer columns and its theta on them."""
+        columns = []
+        for theta, visible in zip(self.theta, self.visibility):
+            cols = np.flatnonzero(visible)
+            own = theta[cols]
+            cols.setflags(write=False)
+            own.setflags(write=False)
+            columns.append((cols, own))
+        return tuple(columns)
+
     @property
     def sellers(self) -> int:
         return self.theta.shape[0]
@@ -96,6 +120,10 @@ class BipartiteMarket:
         lifting stays below quality_cap + ln(m - 1), which needs m >= 2
         because one buyer can never outstrip a unit capacity.
         """
+        return self._price_box
+
+    @cached_property
+    def _price_box(self) -> float:
         box = 12.0
         if self.buyers >= 2:
             box = max(box, self.quality_cap + math.log(self.buyers - 1))
@@ -179,19 +207,33 @@ def network_demand(market: BipartiteMarket, prices) -> np.ndarray:
     Per-buyer columns are normalized against the no-purchase option, with a
     max-exponent shift so large qualities cannot overflow.
     """
-    p = np.asarray(prices, dtype=float)
-    if p.shape != (market.sellers,):
-        raise DomainError("need one price per seller")
+    p = _price_vector(market, prices)
     util = np.where(market.visibility, market.theta - p[:, None], -np.inf)
     shift = np.maximum(0.0, util.max(axis=0, initial=-np.inf))
     weights = np.exp(util - shift)
     return weights / (np.exp(-shift) + weights.sum(axis=0))
 
 
-def seller_utility(market: BipartiteMarket, prices, i: int) -> float:
-    """Capacity-capped expected revenue p_i * min(total demand, c_i)."""
+def _seller_index(market: BipartiteMarket, i) -> int:
+    """int(i); DomainError for a boolean, a non-integer or an index out of range."""
+    if isinstance(i, (bool, np.bool_)) or not isinstance(i, numbers.Integral):
+        raise DomainError(f"seller index {i!r} is not an integer")
     if not 0 <= i < market.sellers:
         raise DomainError(f"seller index {i} out of range")
+    return int(i)
+
+
+def _price_vector(market: BipartiteMarket, prices) -> np.ndarray:
+    """prices as a float64 array of shape (sellers,), else DomainError."""
+    p = np.asarray(prices, dtype=float)
+    if p.shape != (market.sellers,):
+        raise DomainError("need one price per seller")
+    return p
+
+
+def seller_utility(market: BipartiteMarket, prices, i: int) -> float:
+    """Capacity-capped expected revenue p_i * min(total demand, c_i)."""
+    i = _seller_index(market, i)
     q = network_demand(market, prices)
     total = float(q[i].sum())
     return float(prices[i]) * min(total, market.capacities[i])
@@ -206,7 +248,7 @@ def _rival_logits(market: BipartiteMarket, prices, i: int) -> np.ndarray:
     the whole matrix, but sums an F-ordered copy (what ``A[:, cols]`` gives)
     or a lone column pairwise.
     """
-    cols = np.flatnonzero(market.visibility[i])
+    cols, own = market._seller_columns[i]
     p = np.asarray(prices, dtype=float)[:, None]
     if p.min() > -np.inf:
         util = np.take(market._visible_theta, cols, axis=1)  # a C-ordered copy
@@ -223,7 +265,7 @@ def _rival_logits(market: BipartiteMarket, prices, i: int) -> np.ndarray:
     else:
         total = util.sum(axis=0)
     log_base = shift + np.log(np.exp(-shift) + total)
-    return market.theta[i, cols] - log_base
+    return own - log_base
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -237,14 +279,16 @@ def _shares_into(z: np.ndarray, p, x: np.ndarray, e: np.ndarray, q: np.ndarray) 
 
     p is a price or a column of prices, one per row of the buffers. As
     e = e^{-|z - p|} <= 1, _sigmoid's numerator where(z - p >= 0, 1, e) is
-    max(e, [z - p >= 0]).
+    max(e, sign(z - p)): 1 where z - p > 0, e = 1 at z - p = +-0, e below 0,
+    and nan at nan. The sign keeps the buffers float64, where the comparison
+    would make numpy cast booleans.
     """
     np.subtract(z, p, out=x)
-    np.copysign(x, -1.0, out=e)
+    np.copysign(x, _MINUS_ONE, out=e)
     np.exp(e, out=e)
-    np.greater_equal(x, 0.0, out=x)
+    np.sign(x, out=x)
     np.maximum(e, x, out=x)
-    np.add(e, 1.0, out=e)
+    np.add(e, _ONE, out=e)
     return np.divide(x, e, out=q)
 
 
@@ -256,9 +300,8 @@ def seller_best_response(market: BipartiteMarket, prices, i: int) -> float:
     where demand equals c_i (demand is strictly decreasing in the own
     price). Sellers with no visible buyers price at 0 by convention.
     """
-    if not 0 <= i < market.sellers:
-        raise DomainError(f"seller index {i} out of range")
-    z = _rival_logits(market, prices, i)
+    i = _seller_index(market, i)
+    z = _rival_logits(market, _price_vector(market, prices), i)
     if z.size == 0:
         return 0.0
     box = market.price_box()
@@ -266,55 +309,74 @@ def seller_best_response(market: BipartiteMarket, prices, i: int) -> float:
     # A response evaluates dozens of share vectors of a few hundred entries,
     # where ufunc call overhead outweighs the element work. So every step
     # writes into these buffers, in the operand order and rounding of the
-    # array expressions in the comments.
+    # array expressions in the comments, and passes its scalars as 0-d
+    # arrays, which numpy takes faster than Python floats.
     x, e, q, t, u = (np.empty_like(z) for _ in range(5))
     last = [math.nan]  # the price q holds the shares of
 
-    def shares(p: float) -> np.ndarray:
+    def shares(p: float, p0: np.ndarray) -> np.ndarray:
+        # p0 is p as a 0-d array
         last[0] = p
-        return _shares_into(z, p, x, e, q)
+        return _shares_into(z, p0, x, e, q)
 
-    def marginal(p: float, q: np.ndarray) -> float:
+    def marginal(p0: np.ndarray, q: np.ndarray) -> float:
         # (q * (1 - p * (1 - q))).sum()
-        np.subtract(1.0, q, out=t)
-        np.multiply(t, p, out=t)
-        np.subtract(1.0, t, out=t)
+        np.subtract(_ONE, q, out=t)
+        np.multiply(t, p0, out=t)
+        np.subtract(_ONE, t, out=t)
         np.multiply(q, t, out=t)
         return float(np.add.reduce(t))
 
     def minus_marginal(p: float) -> tuple[float, float]:
         # The marginal utility falls through its root; _newton takes its negation.
-        q = shares(p)
-        f = marginal(p, q)
+        p0 = np.array(p)
+        q = shares(p, p0)
+        f = marginal(p0, q)
         # ((q * q - q) * (2 + 2 * p * q - p)).sum(), 2 * p * q being (2 * p) * q
-        np.multiply(q, 2.0 * p, out=u)
-        np.add(u, 2.0, out=u)
-        np.subtract(u, p, out=u)
+        np.multiply(q, np.array(2.0 * p), out=u)
+        np.add(u, _TWO, out=u)
+        np.subtract(u, p0, out=u)
         np.multiply(q, q, out=t)
         np.subtract(t, q, out=t)
         np.multiply(t, u, out=t)
         return -f, -float(np.add.reduce(t))
 
-    if marginal(box, shares(box)) > 0.0:
+    box0 = np.array(box)
+    if marginal(box0, shares(box, box0)) > 0.0:
         raise SolverError(f"stationary price of seller {i} exceeds the search box")
     # A stalled stationary solve keeps its last iterate: the capacity check
     # below and the sweep's convergence test judge it.
     p = _newton(minus_marginal, min(2.0, box), 0.0, box, _BR_TOL, None)
-    demand = float(np.add.reduce(q if last[0] == p else shares(p)))
+    demand = float(np.add.reduce(q if last[0] == p else shares(p, np.array(p))))
     if demand <= cap:
         return p
     # Capacity arm: raise the price until demand matches supply. It bisects
     # first, then probes Newton: _newton would change its iterates' bits.
     # Where shares are below 1/2, demand is convex in the price, so a probe
     # is at most the root and the next midpoint is (probe + hi) / 2. Each
-    # probe is evaluated with that midpoint, as a 2-row block whose rows
-    # numpy sums as it sums a 1-d array.
-    xs, es, qs = (np.empty((2, z.size)) for _ in range(3))
+    # round fills a C-ordered (3, k) block with the probe's shares, that
+    # midpoint's shares and the midpoint's slope terms q * (1 - q), and sums
+    # its rows in one call, each as numpy sums a 1-d array. A midpoint
+    # reached without a probe fills the last two rows alone.
+    block = np.empty((3, z.size))
+    pair, tail, qm, slopes = block[:2], block[1:], block[1], block[2]
+    xs, es = np.empty((2, z.size)), np.empty((2, z.size))
     probes = np.empty((2, 1))
+
+    def midpoint_slope() -> None:
+        np.subtract(_ONE, qm, out=slopes)
+        np.multiply(qm, slopes, out=slopes)
+
+    def at_midpoint(mid: float) -> tuple[float, float]:
+        _shares_into(z, np.array(mid), x, e, qm)
+        midpoint_slope()
+        sums = np.add.reduce(tail, axis=1)
+        # -(q * (1 - q)).sum(): negating the sum instead is exact
+        return float(sums[0]) - cap, -float(sums[1])
+
     lo, hi = p, box
     mid = 0.5 * (lo + hi)
-    qm = shares(mid)
-    d = float(np.add.reduce(qm)) - cap
+    d, slope = at_midpoint(mid)
     for _ in range(200):
         if abs(d) < _BR_TOL:
             return mid
@@ -322,25 +384,23 @@ def seller_best_response(market: BipartiteMarket, prices, i: int) -> float:
             lo = mid
         else:
             hi = mid
-        # -(q * (1 - q)).sum(): negating the sum instead is exact
-        np.subtract(1.0, qm, out=t)
-        np.multiply(qm, t, out=t)
-        slope = -float(np.add.reduce(t))
         nxt = mid - d / slope
         if lo < nxt < hi:
-            probes[:, 0] = nxt, 0.5 * (nxt + hi)
-            sums = np.add.reduce(_shares_into(z, probes, xs, es, qs), axis=1)
+            probes[0, 0] = nxt
+            probes[1, 0] = 0.5 * (nxt + hi)
+            _shares_into(z, probes, xs, es, pair)
+            midpoint_slope()
+            sums = np.add.reduce(block, axis=1)
             d = float(sums[0]) - cap
             if abs(d) < _BR_TOL:
                 return nxt
             if d > 0.0:
                 lo = nxt
-                mid, qm, d = 0.5 * (lo + hi), qs[1], float(sums[1]) - cap
+                mid, d, slope = 0.5 * (lo + hi), float(sums[1]) - cap, -float(sums[2])
                 continue
             hi = nxt
         mid = 0.5 * (lo + hi)
-        qm = shares(mid)
-        d = float(np.add.reduce(qm)) - cap
+        d, slope = at_midpoint(mid)
     return 0.5 * (lo + hi)
 
 
@@ -417,7 +477,7 @@ def _best_response_gains(market: BipartiteMarket, p: np.ndarray, demands: np.nda
 def verify_equilibrium(market: BipartiteMarket, prices, epsilon: float = 1e-6) -> VerificationReport:
     """Check a price vector: no profitable deviation, capacity caps, and a
     nonpositive second-order term at interior stationary prices."""
-    p = np.asarray(prices, dtype=float)
+    p = _price_vector(market, prices)
     demands = network_demand(market, p)
     gains = _best_response_gains(market, p, demands)
     slacks = []

@@ -18,6 +18,7 @@ from mnlmarkets.network import (
     BipartiteMarket,
     _best_response_gains,
     _rival_logits,
+    _shares_into,
     _sigmoid,
     check_consistency,
     network_demand,
@@ -109,6 +110,13 @@ def reference_gains(market, p):
 
 def bits(values):
     return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+def assert_same_bits(got, want):
+    """Bytes equal, sign of zero included; a NaN may differ only in its sign bit."""
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
 def assert_responds_like_reference(market, prices, i):
@@ -298,6 +306,29 @@ class TestBestResponse:
         )
         assert seller_best_response(mkt, [1.0, 1.0], 1) == 0.0
 
+    def test_one_price_per_seller(self):
+        mkt = BipartiteMarket([[1.0, 2.0], [0.5, 1.0], [0.2, 0.3]])
+        for bad in ([1.0, 1.0], [1.0] * 4, 1.0, np.ones((1, 3)), np.ones((3, 1))):
+            with pytest.raises(DomainError, match="need one price per seller"):
+                seller_best_response(mkt, bad, 0)
+        assert seller_best_response(mkt, (1, 1, 1), 0) == seller_best_response(mkt, np.ones(3), 0)
+
+    @pytest.mark.parametrize("function", [seller_utility, seller_best_response])
+    def test_seller_index_must_be_an_integer(self, function):
+        # seller_utility once read q[True], every seller's demand summed:
+        # 1.0 here, where seller 1 earns 0.3902.
+        mkt = BipartiteMarket([[1.0, 2.0], [0.5, 1.0], [0.2, 0.3]])
+        for bad in (True, np.True_, 1.5, 1.0, "1", None):
+            with pytest.raises(DomainError, match="not an integer"):
+                function(mkt, [1, 1, 1], bad)
+        for bad in (-1, 3):
+            with pytest.raises(DomainError, match="out of range"):
+                function(mkt, [1, 1, 1], bad)
+        want = function(mkt, [1, 1, 1], 1)
+        for good in (np.int64(1), np.int32(1), np.uint8(1)):
+            assert bits(function(mkt, [1, 1, 1], good)) == bits(want)
+        assert seller_utility(mkt, [1, 1, 1], 1) == pytest.approx(0.3902406314864739, abs=1e-12)
+
     def test_sigmoid_matches_split_form_bit_for_bit(self):
         # Reference: the two-branch form that gathers each sign separately.
         def split_sigmoid(z):
@@ -312,11 +343,28 @@ class TestBestResponse:
         special = [0.0, -0.0, np.inf, -np.inf, np.nan, 745.2, -745.2, 800.0, -800.0, 1e-300]
         for z in (rng.normal(0.0, 8.0, 200_001), rng.uniform(-750.0, 750.0, 4097),
                   np.array(special)):
-            got, want = _sigmoid(z), split_sigmoid(z)
-            # Bytes equal, sign of zero included; a NaN may differ only in its sign bit.
-            nan = np.isnan(want)
-            assert np.array_equal(np.isnan(got), nan)
-            assert got[~nan].tobytes() == want[~nan].tobytes()
+            assert_same_bits(_sigmoid(z), split_sigmoid(z))
+
+    def test_shares_kernel_matches_sigmoid_bit_for_bit(self):
+        # _shares_into writes _sigmoid's numerator where(x >= 0, 1, e) as
+        # max(e, sign(x)), with x = z - p and e = e^{-|x|}: this pins the
+        # identity on signed zeros, subnormals, infinities, nan and
+        # underflow, for one price (the 1-row form) and a column of two
+        # prices (the 2-row probe form).
+        rng = np.random.default_rng(257)
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, 745.2, -745.2, 800.0, -800.0,
+                   1e-300, -1e-300, 5e-324, -5e-324]
+        prices = [0.0, -0.0, 5e-324, -5e-324, 1.7, 13.0]
+        for z in (rng.normal(0.0, 8.0, 4001), np.array(special), np.array(special) + 13.0):
+            x, e, q = (np.empty_like(z) for _ in range(3))
+            xs, es, qs = (np.empty((2, z.size)) for _ in range(3))
+            for p in prices:
+                assert_same_bits(_shares_into(z, np.array(p), x, e, q), _sigmoid(z - p))
+                assert_same_bits(_shares_into(z, p, x, e, q), _sigmoid(z - p))
+            for a, b in zip(prices, prices[1:] + prices[:1]):
+                got = _shares_into(z, np.array([[a], [b]]), xs, es, qs)
+                assert_same_bits(got[0], _sigmoid(z - a))
+                assert_same_bits(got[1], _sigmoid(z - b))
 
     def test_demand_monotone_in_own_price(self):
         mkt = BipartiteMarket([[2.0, 1.0], [1.5, 0.5]], capacities=[1, 1])
@@ -356,6 +404,34 @@ class TestBestResponseMatchesReference:
             for i in range(n):
                 assert_responds_like_reference(market, p, i)
                 p[i] = seller_best_response(market, p, i)
+
+    def test_sparse_and_dense_markets(self):
+        # Sparse blocks are mostly invisible pairs, whose rival terms are
+        # exactly 0.0; a dense market has none. Both must reach both arms,
+        # where the capacity arm sums the probe, the midpoint and its slope
+        # terms as the rows of one block.
+        rng = np.random.default_rng(263)
+        for n, m, density in [(14, 120, 0.1), (10, 200, 0.2), (20, 90, 0.3), (12, 60, 1.0)]:
+            seen = set()
+            for top in (1, 2 * m // n, m):
+                vis = rng.random((n, m)) < density
+                market = BipartiteMarket(rng.uniform(-1.0, 2.3, (n, m)), visibility=vis,
+                                         capacities=rng.integers(1, top + 1, n))
+                seen.update(self.arms(market, rng.uniform(0.0, 4.0, n)))
+            assert {"stationary", "capacity"} <= seen, (n, m, density)
+
+    def test_seller_whose_buyers_see_no_rivals(self):
+        # Seller 0's buyers (0-9) are visible to no other seller, so each of
+        # its rival logits is its own quality, on both arms.
+        rng = np.random.default_rng(269)
+        vis = rng.random((8, 40)) < 0.25
+        vis[0, :10], vis[1:, :10], vis[0, 10:] = True, False, False
+        theta = rng.uniform(-1.0, 2.3, (8, 40))
+        for cap, arm in ((10, "stationary"), (1, "capacity")):
+            market = BipartiteMarket(theta, visibility=vis, capacities=[cap] + [2] * 7)
+            prices = rng.uniform(0.0, 4.0, 8)
+            assert bits(_rival_logits(market, prices, 0)) == bits(theta[0, :10])
+            assert self.arms(market, prices)[0] == arm
 
     def test_seller_without_buyers(self):
         market = BipartiteMarket([[2.0, 1.0], [1.0, 0.5]], visibility=[[True, True], [False, False]])
