@@ -54,7 +54,7 @@ def whole_number(value, what: str) -> int:
     """``int(value)``; DomainError for a boolean, a non-number or a value int() would truncate."""
     try:
         n = int(value)
-        whole = n == value and not isinstance(value, bool)
+        whole = n == value and not isinstance(value, (bool, np.bool_))
     except (TypeError, ValueError, OverflowError):  # None, NaN, an infinity
         whole = False
     if not whole:

@@ -15,6 +15,9 @@ equals capacity. Convergence of the dynamics is not guaranteed by theory, so
 non-convergence is reported in the result rather than raised; the report's
 residual (the largest unilateral gain) is computed on first access.
 
+Prices are finite, one per seller, else DomainError. _price_vector checks
+them, so an invisible pair's -inf in the one masked theta stays -inf.
+
 A best response reads only the columns of the seller's visible buyers,
 which the market lists once per seller, and evaluates its share vectors in
 preallocated buffers with 0-d array operands. Both keep the bits of the
@@ -76,9 +79,10 @@ class BipartiteMarket:
             raise DomainError("capacities must give a positive integer per seller")
         if any(c >= 2**63 for c in capacities):  # the flow counts units in int64
             raise DomainError("capacities must be below 2**63")
-        if visibility.any() and not np.all(np.isfinite(theta[visibility])):
+        visible = theta[visibility]
+        if not np.isfinite(visible).all():
             raise DomainError("visible qualities must be finite")
-        cap = float(np.abs(theta[visibility]).max()) if visibility.any() else 0.0
+        cap = float(np.abs(visible).max(initial=0.0))
         theta.setflags(write=False)
         visibility.setflags(write=False)
         object.__setattr__(self, "theta", theta)
@@ -208,7 +212,7 @@ def network_demand(market: BipartiteMarket, prices) -> np.ndarray:
     max-exponent shift so large qualities cannot overflow.
     """
     p = _price_vector(market, prices)
-    util = np.where(market.visibility, market.theta - p[:, None], -np.inf)
+    util = market._visible_theta - p[:, None]
     shift = np.maximum(0.0, util.max(axis=0, initial=-np.inf))
     weights = np.exp(util - shift)
     return weights / (np.exp(-shift) + weights.sum(axis=0))
@@ -224,19 +228,21 @@ def _seller_index(market: BipartiteMarket, i) -> int:
 
 
 def _price_vector(market: BipartiteMarket, prices) -> np.ndarray:
-    """prices as a float64 array of shape (sellers,), else DomainError."""
+    """prices as a finite float64 array of shape (sellers,), else DomainError."""
     p = np.asarray(prices, dtype=float)
     if p.shape != (market.sellers,):
         raise DomainError("need one price per seller")
+    if not np.isfinite(p).all():
+        raise DomainError("prices must be finite")
     return p
 
 
 def seller_utility(market: BipartiteMarket, prices, i: int) -> float:
-    """Capacity-capped expected revenue p_i * min(total demand, c_i)."""
+    """Capacity-capped expected revenue p_i * min(total demand, c_i) at finite prices."""
     i = _seller_index(market, i)
-    q = network_demand(market, prices)
-    total = float(q[i].sum())
-    return float(prices[i]) * min(total, market.capacities[i])
+    p = _price_vector(market, prices)
+    total = float(network_demand(market, p)[i].sum())
+    return float(p[i]) * min(total, market.capacities[i])
 
 
 def _rival_logits(market: BipartiteMarket, prices, i: int) -> np.ndarray:
@@ -249,13 +255,8 @@ def _rival_logits(market: BipartiteMarket, prices, i: int) -> np.ndarray:
     or a lone column pairwise.
     """
     cols, own = market._seller_columns[i]
-    p = np.asarray(prices, dtype=float)[:, None]
-    if p.min() > -np.inf:
-        util = np.take(market._visible_theta, cols, axis=1)  # a C-ordered copy
-        util -= p
-    else:  # a nan or -inf price would turn an invisible pair's -inf into nan
-        util = np.where(np.take(market.visibility, cols, axis=1),
-                        np.take(market.theta, cols, axis=1) - p, -np.inf)
+    util = np.take(market._visible_theta, cols, axis=1)  # a C-ordered copy
+    util -= np.asarray(prices, dtype=float)[:, None]
     util[i] = -np.inf
     shift = np.maximum(0.0, util.max(axis=0, initial=-np.inf))
     util -= shift
@@ -410,8 +411,7 @@ def check_consistency(market: BipartiteMarket) -> ConsistencyReport:
     The market is consistent when no pair can exceed the 0.91 cap; a
     sufficient condition is every visible theta_ik <= 2.3.
     """
-    bounds = np.where(market.visibility, _sigmoid(market.theta), 0.0)
-    max_share = float(bounds.max()) if bounds.size else 0.0
+    max_share = float(_sigmoid(market._visible_theta).max())  # sigmoid(-inf) = 0
     return ConsistencyReport(
         consistent=bool(max_share <= CONSISTENT_SHARE_CAP),
         max_share=max_share,

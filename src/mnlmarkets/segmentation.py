@@ -34,6 +34,7 @@ from .equilibrium import DomainError, _libm, _sequential_sum
 from .network import (
     BipartiteMarket,
     EquilibriumReport,
+    _seller_index,
     network_demand,
     seller_best_response,
     solve_network_equilibrium,
@@ -117,11 +118,10 @@ def build_flow_network(market: BipartiteMarket) -> FlowNetwork:
     to the bit: the exponentials are libm's (equilibrium._libm), the rest
     is IEEE-exact, and np.rint rounds half to even as round() does.
     """
-    offset = market.theta - 1.0
+    offset = market._visible_theta - 1.0
     weights = np.full(offset.shape, _NO_ARC, dtype=np.int64)
     weights[market.visibility] = WEIGHT_SCALE  # the weight once theta - 1 >= 500
-    with np.errstate(all="ignore"):  # invisible pairs may hold any theta
-        near = market.visibility & (offset < 500)
+    near = market.visibility & (offset < 500)
     e = _libm(math.exp, offset[near])
     weights[near] = np.rint(WEIGHT_SCALE * (e / (1.0 + e)))
     weights.setflags(write=False)
@@ -220,17 +220,28 @@ def equilibrate_pool(market: BipartiteMarket, pool: Pool) -> tuple[float, float]
 
     The pool's seller faces only its assigned buyers and no rivals, so its
     equilibrium is the capacity-aware best response; revenue can only
-    improve on the unit price the pool was scored at.
+    improve on the unit price the pool was scored at. The pool's buyers
+    are distinct buyer indices, each visible to its seller, else DomainError.
     """
+    seller = _seller_index(market, pool.seller)
     if not pool.buyers:
         raise DomainError("pool must contain at least one buyer")
+    buyers = np.asarray(pool.buyers)
+    if buyers.ndim != 1 or buyers.dtype.kind not in "iu":
+        raise DomainError(f"pool buyers {pool.buyers!r} are not buyer indices")
+    if buyers.min() < 0 or buyers.max() >= market.buyers:
+        raise DomainError(f"pool buyers {pool.buyers!r} out of range")
+    if len(set(pool.buyers)) < buyers.size:
+        raise DomainError(f"pool buyers {pool.buyers!r} repeat a buyer")
+    if not market.visibility[seller, buyers].all():
+        raise DomainError(f"pool buyers {pool.buyers!r} include one invisible to seller {seller}")
     sub = BipartiteMarket(
-        market.theta[pool.seller, list(pool.buyers)].reshape(1, -1),
-        capacities=[market.capacities[pool.seller]],
+        market.theta[seller, buyers].reshape(1, -1),
+        capacities=[market.capacities[seller]],
     )
     price = seller_best_response(sub, np.array([1.0]), 0)
     demand = float(network_demand(sub, [price]).sum())
-    revenue = price * min(demand, market.capacities[pool.seller])
+    revenue = price * min(demand, market.capacities[seller])
     return price, revenue
 
 
@@ -251,9 +262,7 @@ def segment_market(market: BipartiteMarket) -> Segmentation:
         prices.append(price)
         revenues.append(revenue)
     units = min(market.buyers, sum(market.capacities))
-    certifiable = bool(market.visibility.all()) and bool(
-        np.all(market.theta[market.visibility] >= 0.0)
-    )
+    certifiable = bool((market._visible_theta >= 0.0).all())
     return Segmentation(
         pools=pools,
         pool_prices=tuple(prices),

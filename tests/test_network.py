@@ -180,10 +180,11 @@ class TestMarketConstruction:
             assert mkt.visibility.dtype == bool and mkt.visibility.tolist() == [[True, False]]
 
     def test_capacities_must_be_whole(self):
-        for bad in (1.9, True):
+        for bad in (1.9, True, np.True_, np.False_):
             with pytest.raises(DomainError, match="not a whole number"):
                 BipartiteMarket([[1.0], [2.0]], capacities=[1, bad])
         assert BipartiteMarket([[1.0]], capacities=[2.0]).capacities == (2,)
+        assert BipartiteMarket([[1.0]], capacities=[np.int64(3)]).capacities == (3,)
 
     def test_capacities_fit_int64(self):
         assert BipartiteMarket([[1.0]], capacities=[2**63 - 1]).capacities == (2**63 - 1,)
@@ -208,6 +209,28 @@ class TestNetworkDemand:
         assert q[:, 0].tolist() == pytest.approx(
             mnl_demand([2.0, 1.0, -0.5], prices), abs=1e-12
         )
+
+    def test_masked_theta_matches_where_forms(self):
+        # network_demand and check_consistency read the one masked theta;
+        # they give the bits of masking theta per call, with no warning
+        # when the invisible pairs hold nan and infinities.
+        rng = np.random.default_rng(281)
+        theta = rng.uniform(-1.0, 3.0, (7, 11))
+        vis = rng.random((7, 11)) < 0.6
+        vis[2], vis[:, 4] = False, False  # a seller and a buyer with no pair
+        hidden = np.flatnonzero(~vis)
+        theta.flat[hidden] = np.resize([math.nan, math.inf, -math.inf], hidden.size)
+        market = BipartiteMarket(theta, visibility=vis, capacities=[2] * 7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for p in (rng.uniform(0.0, 4.0, 7), np.zeros(7), np.array([-700.0, 0, 1e300, 3, -1e300, 1, 2])):
+                util = np.where(vis, theta - p[:, None], -np.inf)
+                shift = np.maximum(0.0, util.max(axis=0, initial=-np.inf))
+                weights = np.exp(util - shift)
+                want = weights / (np.exp(-shift) + weights.sum(axis=0))
+                assert bits(network_demand(market, p)) == bits(want)
+            want = float(np.where(vis, _sigmoid(theta), 0.0).max())
+            assert bits([check_consistency(market).max_share]) == bits([want])
 
     def test_high_prices_kill_demand(self):
         mkt = BipartiteMarket([[1.0, 2.0], [0.0, 1.0]], capacities=[1, 1])
@@ -312,6 +335,23 @@ class TestBestResponse:
             with pytest.raises(DomainError, match="need one price per seller"):
                 seller_best_response(mkt, bad, 0)
         assert seller_best_response(mkt, (1, 1, 1), 0) == seller_best_response(mkt, np.ones(3), 0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("function", [
+        network_demand,
+        lambda market, prices: seller_utility(market, prices, 1),
+        lambda market, prices: seller_best_response(market, prices, 1),
+        verify_equilibrium,
+    ], ids=["network_demand", "seller_utility", "seller_best_response", "verify_equilibrium"])
+    def test_prices_must_be_finite(self, function, bad):
+        # seller_utility once returned nan for seller 1 at [nan, 1], and
+        # network_demand warned and returned nan at [-inf, 1].
+        mkt = BipartiteMarket([[1.0, 2.0], [0.5, 1.0]])
+        for prices in ([bad, 1.0], [1.0, bad], np.array([bad, bad])):
+            with pytest.raises(DomainError, match="prices must be finite"):
+                function(mkt, prices)
+        with pytest.raises(DomainError, match="need one price per seller"):
+            function(mkt, [bad, 1.0, 1.0])
 
     @pytest.mark.parametrize("function", [seller_utility, seller_best_response])
     def test_seller_index_must_be_an_integer(self, function):
@@ -483,9 +523,9 @@ class TestBestResponseMatchesReference:
         self.arms(market, rng.uniform(0.0, 4.0, 10))
         self.arms(BipartiteMarket([[-800.0, 1.0]]), [1.0])
 
-    def test_non_finite_rival_prices(self):
+    def test_blind_rival_at_extreme_prices(self):
         # A rival that sees none of seller 0's buyers does not move its
-        # response, whatever its price.
+        # response, whatever its finite price.
         rng = np.random.default_rng(251)
         vis = rng.random((9, 10)) < 0.7
         vis[8], vis[:, 9] = False, False
@@ -493,14 +533,11 @@ class TestBestResponseMatchesReference:
         market = BipartiteMarket(rng.uniform(-1.0, 2.3, (9, 10)), visibility=vis)
         prices = rng.uniform(0.0, 4.0, 9)
         base = seller_best_response(market, prices, 0)
-        for bad in (math.nan, -math.inf, math.inf):
-            prices[8] = bad
+        for extreme in (0.0, -1e300, 1e300):
+            prices[8] = extreme
             assert bits(seller_best_response(market, prices, 0)) == bits(base)
-            # At -inf, buyer 9's weights take inf - inf, in the oracle's
-            # full-width pass for seller 0 too.
-            with np.errstate(invalid="ignore"):
-                assert_responds_like_reference(market, prices, 0)
-                assert_responds_like_reference(market, prices, 3)
+            assert_responds_like_reference(market, prices, 0)
+            assert_responds_like_reference(market, prices, 3)
 
     def test_box_error(self):
         # One buyer of quality 20 prices past the one-buyer box of 13.

@@ -220,6 +220,46 @@ class TestEquilibratePool:
         with pytest.raises(DomainError):
             equilibrate_pool(mkt, Pool(0, ()))
 
+    # Buyer 2 is invisible to seller 0; seller 1 sees every buyer.
+    POOL_MARKET = dict(theta=[[1.0, 2.0, 0.7], [0.5, 1.0, 1.5]],
+                       visibility=[[True, True, False], [True, True, True]])
+
+    def test_pool_seller_must_be_a_seller_index(self):
+        # seller -1 was priced as seller 1, and seller 5 raised IndexError.
+        mkt = BipartiteMarket(**self.POOL_MARKET)
+        for seller, message in ((-1, "out of range"), (5, "out of range"), (True, "not an integer")):
+            with pytest.raises(DomainError, match=message):
+                equilibrate_pool(mkt, Pool(seller, (0, 1)))
+        assert equilibrate_pool(mkt, Pool(np.int64(1), (0, 1))) == equilibrate_pool(mkt, Pool(1, (0, 1)))
+
+    def test_pool_buyers_must_be_in_range(self):
+        # buyer -1 wrapped to the last buyer.
+        mkt = BipartiteMarket(**self.POOL_MARKET)
+        for buyers in ((-1,), (0, 3)):
+            with pytest.raises(DomainError, match="out of range"):
+                equilibrate_pool(mkt, Pool(1, buyers))
+        for buyers in ((True,), (0.5,), ("0",), ((0, 1),)):
+            with pytest.raises(DomainError, match="not buyer indices"):
+                equilibrate_pool(mkt, Pool(1, buyers))
+
+    def test_pool_buyers_must_be_distinct(self):
+        # (0, 0) counted buyer 0 twice.
+        mkt = BipartiteMarket(**self.POOL_MARKET)
+        with pytest.raises(DomainError, match="repeat a buyer"):
+            equilibrate_pool(mkt, Pool(1, (0, 1, 0)))
+
+    def test_pool_buyers_must_be_visible_to_the_seller(self):
+        # (0, (2,)) priced the invisible pair at a revenue of 0.465, and
+        # a nan quality there raised "visible qualities must be finite".
+        for hidden in (0.7, math.nan):
+            theta = [[1.0, 2.0, hidden], [0.5, 1.0, 1.5]]
+            mkt = BipartiteMarket(theta, visibility=self.POOL_MARKET["visibility"])
+            for buyers in ((2,), (0, 2)):
+                with pytest.raises(DomainError, match="invisible to seller 0"):
+                    equilibrate_pool(mkt, Pool(0, buyers))
+            price, _ = equilibrate_pool(mkt, Pool(1, (0, 1, 2)))
+            assert math.isfinite(price)
+
     def test_pool_revenue_dominates_its_arc_weights(self):
         rng = np.random.default_rng(137)
         for _ in range(10):
