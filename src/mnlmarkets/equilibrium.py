@@ -51,10 +51,14 @@ class SolverError(RuntimeError):
 
 
 def whole_number(value, what: str) -> int:
-    """``int(value)``; DomainError for a boolean, a non-number or a value int() would truncate."""
+    """``int(value)``; DomainError for a boolean, a non-number or a value int() would truncate.
+
+    A boolean is Python's ``bool`` or anything of numpy's boolean dtype, 0-d
+    arrays included, which ``int()`` would read as 0 or 1.
+    """
     try:
         n = int(value)
-        whole = n == value and not isinstance(value, (bool, np.bool_))
+        whole = n == value and not (isinstance(value, bool) or getattr(value, "dtype", None) == np.bool_)
     except (TypeError, ValueError, OverflowError):  # None, NaN, an infinity
         whole = False
     if not whole:

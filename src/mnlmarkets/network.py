@@ -427,8 +427,12 @@ def solve_network_equilibrium(
     Deterministic Gauss-Seidel sweeps in seller order. Stops when the
     largest price move in a sweep is at most 1e-9. Never raises on
     non-convergence: the report carries a converged flag and the residual
-    max unilateral improvement.
+    max unilateral improvement. ``max_iters``, the most sweeps to run, must
+    be a whole number of at least 1.
     """
+    max_iters = whole_number(max_iters, "max_iters")
+    if max_iters < 1:
+        raise DomainError(f"max_iters must be at least 1, got {max_iters}")
     report = check_consistency(market)
     if not report.consistent:
         warnings.warn(

@@ -17,19 +17,24 @@ PCG64 starts from the words ``default_rng([s, r])`` would give it.
 ``estimate_ratios`` plays every (policy, threshold) row of a config and all
 their replications in lockstep in one process, in one pass to the largest
 buyer count: step t decides an assortment bitmask per row and replication,
-reads its cumulative demands and prices from two dense tables over every
-bitmask, built from the LP columns that ``solve_opt`` has already solved
-(2 * 2^n * (n + 1) * 8 bytes: 852 kB at 12 items, about 350 MB at the
-20-item cap), and draws each buyer from column t of the replications'
-uniforms. A policy reads only the stock vector, never the buyer count, so
-the m-buyer episode of replication r is the first m steps of the longest
-one; the running revenue is reduced to its mean and standard error as the
-pass reaches each requested m. Every per-step operation is row-wise, so
-rows played together give the bits each gives alone, and revenues are
-bit-identical to ``run_episode``, which plays one replication step by step
-through the scalar ``POLICIES`` rules and records its path; the tests take
-it as the reference for the lockstep engine. ``estimate_ratio`` is the
-one-row case.
+reads its cumulative demands and prices from two dense (n + 1, 2^n) tables
+over every bitmask, built from the LP columns that ``solve_opt`` has
+already solved (2 * 2^n * (n + 1) * 8 bytes: 852 kB at 12 items, about
+350 MB at the 20-item cap), and draws each buyer from column t of the
+replications' uniforms. Beside the stock the pass keeps each replication's
+in-stock bitmask, which a sale clears bit i of when it takes item i's last
+unit. Greedy offers that mask, hybrid looks its offer up in a 2^n table
+over in-stock masks, and the modified hybrid reads the stock through a
+weight table; a buyer's pick is the count of its assortment's running
+demand sums at or below its uniform. A policy reads only the stock vector,
+never the buyer count, so the m-buyer episode of replication r is the
+first m steps of the longest one; the running revenue is reduced to its
+mean and standard error as the pass reaches each requested m. Every
+per-step operation is row-wise, so rows played together give the bits each
+gives alone, and revenues are bit-identical to ``run_episode``, which plays
+one replication step by step through the scalar ``POLICIES`` rules and
+records its path; the tests take it as the reference for the lockstep
+engine. ``estimate_ratio`` is the one-row case.
 
 The module keeps nothing between calls. Each config draws its uniforms
 afresh and solves the LP once per buyer count it asks for; the columns it
@@ -257,59 +262,68 @@ def episode_uniforms(seed: int, replications: int, m: int) -> np.ndarray:
 
 
 # Vectorised forms of the POLICIES rules. Each builds, for one instance, a
-# function from the (R, n) stock matrix to the R offered assortments as
-# bitmasks (bit i = catalog position i), deciding exactly as the scalar rule.
+# decision from the (R, n + 1) stock matrix and the R in-stock bitmasks (bit i
+# set while catalog position i has stock) to the R offered assortments as
+# bitmasks, deciding exactly as the scalar rule. Column n of the stock is the
+# engine's no-purchase sink, which only decrements from 0, so it is never
+# above 0. Greedy and hybrid read only the in-stock mask.
 
-def _greedy_masks(instance: OnlineInstance) -> Callable[[np.ndarray], np.ndarray]:
-    bits = np.left_shift(1, np.arange(len(instance.catalog), dtype=np.int64))
-
-    def decide(stock: np.ndarray) -> np.ndarray:
-        return (stock > 0) @ bits
+def _greedy_masks(instance: OnlineInstance) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    def decide(stock: np.ndarray, in_stock: np.ndarray) -> np.ndarray:
+        return in_stock
 
     return decide
 
 
-def _hybrid_masks(instance: OnlineInstance) -> Callable[[np.ndarray], np.ndarray]:
+def _hybrid_masks(instance: OnlineInstance) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """The offer of every in-stock mask, from a 2^n int64 table.
+
+    The table takes 2^n * 8 bytes, 1/(2(n + 1)) of the choice tables.
+    """
     n = len(instance.catalog)
-    in_stock = _greedy_masks(instance)
     heavy = sum(1 << i for i in classify_heavy(instance.catalog, instance.threshold))
-    light = ((1 << n) - 1) ^ heavy
+    masks = np.arange(1 << n, dtype=np.int64)
+    first = masks & heavy
+    first &= -first  # lowest set bit: heavy items are a prefix in quality order
+    offer = np.where(first != 0, first, masks & ~heavy)
 
-    def decide(stock: np.ndarray) -> np.ndarray:
-        offered = in_stock(stock)
-        first = offered & heavy
-        first &= -first  # lowest set bit: heavy items are a prefix in quality order
-        return np.where(first != 0, first, offered & light)
+    def decide(stock: np.ndarray, in_stock: np.ndarray) -> np.ndarray:
+        return offer.take(in_stock)
 
     return decide
 
 
-def _modified_masks(instance: OnlineInstance) -> Callable[[np.ndarray], np.ndarray]:
-    """Relative heaviness is read from weight[i, c_i - remaining_i].
+def _modified_masks(instance: OnlineInstance) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """Relative heaviness is read from weight[i * depth + c_i - remaining_i].
 
-    The table holds exponential_weight(remaining / c_i) * q_i({i}) from the
-    scalar functions where that reaches the threshold, else -inf (also for a
-    sold-out item); argmax then takes the first maximum as the scalar rule's
-    strict comparison does.
+    The flat (n, depth) table holds exponential_weight(remaining / c_i) *
+    q_i({i}) from the scalar functions where that reaches the threshold,
+    else -inf (also for a sold-out item); argmax then takes the first
+    maximum as the scalar rule's strict comparison does. One sentinel
+    entry of 0.0 follows the table, below every threshold and above -inf,
+    so argmax lands on it, at position n, exactly when no item is heavy.
     """
     catalog = instance.catalog
     n, caps = len(catalog), catalog.inventories
     demands = solo_demands(catalog)
     depth = min(max(caps), instance.m) + 1  # units an episode can sell, plus one
-    weight = np.full((n, depth), -np.inf)
+    weight = np.full(n * depth + 1, -np.inf)
+    weight[-1] = 0.0
     for i in range(n):
         for sold in range(min(caps[i], depth)):
             rel = exponential_weight((caps[i] - sold) / caps[i]) * demands[i]
             if rel >= instance.threshold:
-                weight[i, sold] = rel
-    base = np.arange(n, dtype=np.int64) * depth + np.asarray(caps, dtype=np.int64)
-    bits = np.left_shift(1, np.arange(n, dtype=np.int64))
-    in_stock = _greedy_masks(instance)
+                weight[i * depth + sold] = rel
+    # The sink column, at most 0, reads the sentinel: its index is at least
+    # the last one, and clip mode maps it there.
+    base = np.append(np.arange(n, dtype=np.int64) * depth + caps, n * depth)
+    # A heavy item is in stock, so its bit survives the & with the in-stock
+    # mask; the sentinel's all-ones entry passes the whole mask.
+    bits = np.append(np.left_shift(1, np.arange(n, dtype=np.int64)), -1)
 
-    def decide(stock: np.ndarray) -> np.ndarray:
-        rel = np.take(weight, base - stock)
-        best = rel.argmax(axis=1)
-        return np.where(rel.max(axis=1) > -np.inf, bits[best], in_stock(stock))
+    def decide(stock: np.ndarray, in_stock: np.ndarray) -> np.ndarray:
+        best = np.take(weight, base - stock, mode="clip").argmax(axis=1)
+        return bits.take(best) & in_stock
 
     return decide
 
@@ -320,27 +334,31 @@ _MASK_RULES = {"hybrid": _hybrid_masks, "greedy": _greedy_masks, "modified": _mo
 def _choice_tables(catalog: ItemCatalog) -> tuple[np.ndarray, np.ndarray]:
     """Running demand sums and prices of every assortment, from the LP columns.
 
-    Both are (2^n, n + 1), row = assortment bitmask and column = catalog
-    position. The running sum adds an exact 0.0 at each non-member, so at
-    every member it is ``sample_choice``'s sum and no uniform stops at a
-    non-member; the price is 1/(1 - q) as
-    ``equilibrium_outcome`` computes it. Column n is the no purchase, with
-    sum +inf and price 0.0, and row 0 the empty assortment. Together they
-    take 2 * 2^n * (n + 1) * 8 bytes: 180 kB at 10 items, 852 kB at 12 and
-    about 350 MB at the LP's 20-item cap, where the columns take 168 MB.
+    Both are (n + 1, 2^n), row = catalog position and column = assortment
+    bitmask, so the LP's (n, 2^n - 1) demands fill them without a transpose
+    and a pick reads one column per buyer. The running sum adds an exact 0.0
+    at each non-member, so at every member it is ``sample_choice``'s sum and
+    no uniform stops at a non-member; the price is 1/(1 - q) as
+    ``equilibrium_outcome`` computes it. Row n is the no purchase, with sum
+    +inf and price 0.0, and column 0 the empty assortment. Each column's sums
+    are nondecreasing and end at +inf, so the number of them at or below a
+    uniform u < 1 is the first position whose sum exceeds u: the pick.
+    Together the tables take 2 * 2^n * (n + 1) * 8 bytes: 180 kB at 10
+    items, 852 kB at 12 and about 350 MB at the LP's 20-item cap, where the
+    columns take 168 MB.
     """
     n = len(catalog)
-    price = np.zeros((1 << n, n + 1))
-    price[1:, :n] = enumerate_columns(catalog).demands.T
-    cum = np.cumsum(price, axis=1)
-    cum[:, n] = math.inf
+    price = np.zeros((n + 1, 1 << n))
+    price[:n, 1:] = enumerate_columns(catalog).demands
+    cum = np.cumsum(price, axis=0)
+    cum[n] = math.inf
     np.divide(1.0, np.subtract(1.0, price, out=price), out=price)  # in place: no third table
-    price[:, n] = 0.0
+    price[n] = 0.0
     return cum, price
 
 
 # Rows played in one pass are capped so that the widest per-step array, the
-# (rows, R, n + 1) comparison of draws with running demand sums, stays within
+# (n + 1, rows, R) comparison of running demand sums with draws, stays within
 # max(R * (n + 1), _FUSE_ELEMENTS) elements: once one row alone is that wide,
 # rows are played one at a time.
 _FUSE_ELEMENTS = 2**18
@@ -374,20 +392,26 @@ def _lockstep(rows: Sequence[tuple[str, float]], catalog: ItemCatalog,
         k = len(block)
         revenue = np.zeros((k, replications))
         masks = np.empty((k, replications), dtype=np.int64)
-        # Column n is where no-purchase draws take their unit from; it is never read.
-        stock_all = np.zeros((k, replications, n + 1), dtype=np.int64)
-        stock_all[..., :n] = catalog.inventories
-        stock, stock_flat = stock_all[..., :n], stock_all.reshape(-1)
+        # Every inventory is at least 1, so every item starts in stock; a
+        # bit is cleared by the sale that takes its last unit.
+        in_stock = np.full((k, replications), (1 << n) - 1, dtype=np.int64)
+        # Column n is where no-purchase draws take their unit from: it only
+        # decrements, so it never reads 0 and never clears a bit.
+        stock = np.zeros((k, replications, n + 1), dtype=np.int64)
+        stock[..., :n] = catalog.inventories
+        stock_flat = stock.reshape(-1)
         row_start = np.arange(k * replications, dtype=np.int64).reshape(k, replications) * (n + 1)
         snapshots = [[] for _ in block]
         done = 0
         for h in horizons:
             for t in range(done, h):
                 for j, decide in enumerate(block):
-                    masks[j] = decide(stock[j])
-                pick = (draws[:, t, None] < cum[masks]).argmax(axis=2)
-                revenue += np.take(price, masks * (n + 1) + pick)
-                stock_flat[row_start + pick] -= 1
+                    masks[j] = decide(stock[j], in_stock[j])
+                pick = np.add.reduce(cum.take(masks, axis=1) <= draws[:, t], axis=0)
+                revenue += price.take(pick << n | masks)
+                sold = row_start + pick
+                stock_flat[sold] -= 1
+                in_stock ^= (stock_flat[sold] == 0) << pick
             done = h
             for kept, row in zip(snapshots, revenue):
                 kept.append(reduce(row))

@@ -79,7 +79,7 @@ class TestCatalog:
             ItemCatalog([1.0], [1], costs=[-0.1])
 
     def test_inventories_must_be_whole(self):
-        for bad in (2.7, True, np.True_, np.False_, "2"):
+        for bad in (2.7, True, np.True_, np.False_, np.array(True), np.array(False), "2"):
             with pytest.raises(DomainError, match="not a whole number"):
                 ItemCatalog([1.0, 2.0], [1, bad])
         cat = ItemCatalog([1.0, 2.0], [np.int64(3), 2.0])

@@ -180,7 +180,7 @@ class TestMarketConstruction:
             assert mkt.visibility.dtype == bool and mkt.visibility.tolist() == [[True, False]]
 
     def test_capacities_must_be_whole(self):
-        for bad in (1.9, True, np.True_, np.False_):
+        for bad in (1.9, True, np.True_, np.False_, np.array(True), np.array(False)):
             with pytest.raises(DomainError, match="not a whole number"):
                 BipartiteMarket([[1.0], [2.0]], capacities=[1, bad])
         assert BipartiteMarket([[1.0]], capacities=[2.0]).capacities == (2,)
@@ -643,6 +643,16 @@ class TestSolveEquilibrium:
                 assert rep.capacity_ok
                 assert all(p <= mkt.price_box() for p in rep.prices)
         assert ok >= 0.95 * total
+
+    def test_max_iters_is_a_whole_number_of_sweeps(self):
+        mkt = BipartiteMarket([[1.0, 2.0], [0.5, 1.0]], capacities=[1, 1])
+        for bad in (0, -3):
+            with pytest.raises(DomainError, match="at least 1"):
+                solve_network_equilibrium(mkt, max_iters=bad)
+        for bad in (True, 2.5):
+            with pytest.raises(DomainError, match="not a whole number"):
+                solve_network_equilibrium(mkt, max_iters=bad)
+        assert solve_network_equilibrium(mkt, max_iters=np.int64(1)).iterations == 1
 
     def test_inconsistent_market_warns(self):
         mkt = BipartiteMarket([[4.0, 4.0]], capacities=[1])

@@ -251,13 +251,17 @@ class TestLockstepBitIdentity:
     def test_decisions_match_scalar_rules(self):
         # Every stock state of a catalog with tied items: equal items tie in
         # relative heaviness at equal stock, and the rules take the lowest
-        # position.
+        # position. Each state comes with its in-stock mask and a sink column
+        # at or below 0, as the engine holds them.
         cat = ItemCatalog([3.0, 3.0, 2.0, 2.0, 0.5], [3, 3, 2, 2, 1])
         states = np.array(list(itertools.product(*(range(c + 1) for c in cat.inventories))))
+        in_stock = (states > 0) @ np.left_shift(1, np.arange(len(cat), dtype=np.int64))
+        sink = -(np.arange(len(states)) % 21)  # 20 buyers leave at most 20 no-purchases
+        held = np.column_stack([states, sink])
         for threshold in (0.5, 0.55, 0.63):
             inst = OnlineInstance(cat, 20, threshold)
             for name, policy in POLICIES.items():
-                masks = _MASK_RULES[name](inst)(states)
+                masks = _MASK_RULES[name](inst)(held, in_stock)
                 for stock, mask in zip(states.tolist(), masks.tolist()):
                     offered = policy(inst, stock)
                     assert mask == sum(1 << i for i in offered), (name, threshold, stock)
@@ -303,6 +307,64 @@ class TestLockstepBitIdentity:
             assert_lockstep_matches(OnlineInstance(cat, m, threshold), replications, seed)
 
         check()
+
+
+def checking_rules(checked_steps):
+    """_MASK_RULES, each asserting before every decision that the engine's
+    in-stock mask is its stock's and that the sink column is at most 0."""
+
+    def wrap(make):
+        def build(instance):
+            decide = make(instance)
+            n = len(instance.catalog)
+            bits = np.left_shift(1, np.arange(n, dtype=np.int64))
+
+            def checked(stock, in_stock):
+                assert in_stock.tolist() == ((stock[:, :n] > 0) @ bits).tolist()
+                assert (stock[:, n] <= 0).all()
+                checked_steps.append(len(in_stock))
+                return decide(stock, in_stock)
+
+            return checked
+
+        return build
+
+    return {name: wrap(make) for name, make in _MASK_RULES.items()}
+
+
+def corpus_instances():
+    rng = np.random.default_rng(42)
+    for i in range(50):
+        n = int(rng.integers(1, 7))
+        cat = ItemCatalog(rng.uniform(-2.0, 3.5, n), rng.integers(1, 9, n))
+        m = int(rng.integers(5, 51))
+        for threshold in (0.5, 0.63):
+            yield OnlineInstance(cat, m, threshold), 30, 900 + i
+
+
+IN_STOCK_CASES = {
+    "corpus": corpus_instances,
+    "criterion-seven": lambda: [(OnlineInstance(cat, 500, 0.5), 25, 7)
+                                for cat in (SWEEP_CATALOG, BALANCING_CATALOG)],
+    "every-item-heavy": lambda: [(OnlineInstance(ItemCatalog([3.5, 3.0, 2.8], [2, 3, 1]), 20, 0.5), 60, 2)],
+    "no-item-heavy": lambda: [(OnlineInstance(ItemCatalog([1.0, 0.0, -1.0, -2.0], [2, 2, 3, 1]), 20, 0.5),
+                               60, 3)],
+    "inventory-beyond-buyers": lambda: [(OnlineInstance(ItemCatalog([2.5, 2.0, 0.0], [40, 1000, 7]), 25, 0.5),
+                                         60, 5)],
+}
+
+
+class TestInStockMask:
+    @pytest.mark.parametrize("case", sorted(IN_STOCK_CASES))
+    def test_kept_mask_is_the_stocks(self, case, monkeypatch):
+        # Every rule of every step sees the mask (stock > 0) @ bits would give.
+        checked_steps = []
+        monkeypatch.setattr(simulate, "_MASK_RULES", checking_rules(checked_steps))
+        expected = 0
+        for inst, replications, seed in IN_STOCK_CASES[case]():
+            lockstep_revenues(inst, replications, seed)
+            expected += len(POLICIES) * inst.m * replications
+        assert sum(checked_steps) == expected
 
 
 def reference_row(name, catalog, threshold, m, replications, seed):
@@ -417,7 +479,7 @@ class TestChoiceTables:
         cat = ItemCatalog([3.1, 2.2, 1.0, 0.4, -0.7, -1.9], [1, 2, 3, 4, 5, 6])
         n = len(cat)
         cum, price = _choice_tables(cat)
-        assert cum.shape == price.shape == (1 << n, n + 1)
+        assert cum.shape == price.shape == (n + 1, 1 << n)
         for mask in range(1 << n):
             out = equilibrium_outcome(cat, [i for i in range(n) if mask >> i & 1])
             demand = dict(zip(out.members, out.demands))
@@ -428,9 +490,9 @@ class TestChoiceTables:
                 if i in demand:
                     acc += demand[i]
                 running.append(acc)
-            assert cum[mask].tolist() == running + [math.inf]
-            assert [price[mask, i] for i in out.members] == list(out.prices)
-            assert price[mask, n] == 0.0
+            assert cum[:, mask].tolist() == running + [math.inf]
+            assert [price[i, mask] for i in out.members] == list(out.prices)
+            assert price[n, mask] == 0.0
 
     def test_lockstep_peak_is_two_dense_tables(self):
         # The columns are cached and numpy's lazy imports done by an untraced
