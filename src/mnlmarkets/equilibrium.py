@@ -408,7 +408,10 @@ def _shares_from_log(lx: np.ndarray) -> np.ndarray:
 
     Each element runs the scalar Newton step for step: numpy does the
     comparisons and the + - * / (IEEE-exact, so bit-equal to Python floats)
-    and libm the logarithms. Converged elements leave the active set.
+    and libm the logarithms. The bisection or doubling fallback is computed
+    only for the elements whose Newton step leaves the bracket, and the
+    active set is compacted only on iterates where some element converged;
+    both are per-element choices, so neither moves a bit.
     """
     w = lx.copy()
     small = lx <= 1.0
@@ -425,9 +428,14 @@ def _shares_from_log(lx: np.ndarray) -> np.ndarray:
         hi = np.where(up, w, hi)
         lo = np.where(up, lo, w)
         nxt = w - f / (1.0 + 1.0 / (w * (1.0 + w)))
-        fallback = np.where(np.isfinite(hi), 0.5 * (lo + hi), 2.0 * w)
-        nxt = np.where((lo < nxt) & (nxt < hi), nxt, fallback)
+        out = np.flatnonzero(~((lo < nxt) & (nxt < hi)))
+        if out.size:
+            lo_o, hi_o = lo[out], hi[out]
+            nxt[out] = np.where(np.isfinite(hi_o), 0.5 * (lo_o + hi_o), 2.0 * w[out])
         done = (np.abs(f) < 1e-14) | (nxt == w) | (nxt == 0.0)
+        if not done.any():
+            w = nxt
+            continue
         y[act[done]] = w[done] / (1.0 + w[done])
         go = ~done
         act, w, lx, lo, hi = act[go], nxt[go], lx[go], lo[go], hi[go]
@@ -439,36 +447,53 @@ def _shares_from_log(lx: np.ndarray) -> np.ndarray:
     return y
 
 
+def _row_sums(block: np.ndarray) -> np.ndarray:
+    """Sums over the second-to-last axis of a C-ordered block, adding its rows in order.
+
+    numpy reduces an axis that is not the innermost one row by row, so each
+    element is ((row 0 + row 1) + row 2) + ... . A block one column wide
+    loses its innermost axis, and numpy would then sum the rows pairwise, so
+    that block is accumulated instead.
+    """
+    if block.shape[-1] == 1:
+        return np.add.accumulate(block, axis=-2)[..., -1, :]
+    return np.add.reduce(block, axis=-2)
+
+
 def _solve_mask_block(theta: np.ndarray, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Demands (len(masks), n) and total revenues of one block of masks."""
+    """Demands (n, len(masks)) and total revenues of one block of masks."""
     n = theta.size
     off = theta - 1.0
-    member = (masks[:, None] >> np.arange(n) & 1).astype(bool)
+    member = (masks >> np.arange(n)[:, None] & 1).astype(bool)
     k = masks.size
     q0, lo, hi = np.full(k, 0.5), np.zeros(k), np.ones(k)
     lq = np.empty(k)  # ln q0 of each mask's latest round
-    shares = np.zeros((k, n))  # each mask's shares at its latest q0
+    shares = np.zeros((n, k))  # each mask's shares at its latest q0
     act = np.arange(k)
     for _ in range(_Q0_MAX_ITER):
-        m = member[act]
+        m = np.take(member, act, axis=1)
         qa = q0[act]
         # One ln q0 per distinct q0, one share per (q0, member item).
         distinct, at = np.unique(qa, return_inverse=True)
         ln_q0 = _libm(math.log, distinct)
         lq[act] = ln_q0[at]
-        rows, cols = np.nonzero(m)
+        items, cols = np.nonzero(m)
         needed = np.zeros((distinct.size, n), dtype=bool)
-        needed[at[rows], cols] = True
+        needed[at[cols], items] = True
         table = np.zeros(needed.shape)
         table[needed] = _shares_from_log((ln_q0[:, None] + off)[needed])
-        y = np.where(m, table[at], 0.0)
-        shares[act] = y
+        # Row 0 of each (n + 1, k) block is the start of a sum, and rows 1..n
+        # are the members' terms in ascending position, as the scalar loop
+        # adds them. A non-member's term is +0.0, which leaves the sum as is.
+        terms = np.empty((2, n + 1, act.size))
+        terms[0, 0] = qa - 1.0
+        terms[1, 0] = 1.0
+        y = terms[0, 1:]
+        y[...] = np.where(m, np.take(table.T, at, axis=1), 0.0)
+        shares[:, act] = y
         w = y / (1.0 - y)
-        term = y / (qa[:, None] * (1.0 + w * (1.0 + w)))
-        h, slope = qa - 1.0, np.ones(act.size)
-        for i in range(n):  # members in ascending position, as the scalar loop adds
-            np.add(h, y[:, i], out=h, where=m[:, i])
-            np.add(slope, term[:, i], out=slope, where=m[:, i])
+        np.divide(y, (1.0 + w * (1.0 + w)) * qa, out=terms[1, 1:])
+        h, slope = _row_sums(terms)
         up = h > 0.0
         if (up & (qa < sys.float_info.min)).any():
             raise DomainError(_Q0_SUBNORMAL)
@@ -486,14 +511,13 @@ def _solve_mask_block(theta: np.ndarray, masks: np.ndarray) -> tuple[np.ndarray,
     # The final demands take ln q0 + theta - 1.0 in that order; wherever it
     # equals the last round's ln q0 + (theta - 1.0) bit for bit, that
     # round's share is the demand already.
-    final = lq[:, None] + theta - 1.0
-    redo = member & (final.view(np.int64) != (lq[:, None] + off).view(np.int64))
+    final = lq + theta[:, None] - 1.0
+    redo = member & (final.view(np.int64) != (lq + off[:, None]).view(np.int64))
     shares[redo] = _shares_from_log(final[redo])
-    revenue = shares / (1.0 - shares)
-    total = np.zeros(k)
-    for i in range(n):
-        np.add(total, revenue[:, i], out=total, where=member[:, i])
-    return shares, total
+    revenue = np.empty((n + 1, k))
+    revenue[0] = 0.0
+    np.divide(shares, 1.0 - shares, out=revenue[1:])
+    return shares, _row_sums(revenue)
 
 
 def _solve_masks(qualities: Sequence[float], masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -513,7 +537,11 @@ def _solve_masks(qualities: Sequence[float], masks: np.ndarray) -> tuple[np.ndar
     which are IEEE-exact; every exp, log and log1p is libm's, through
     numpy's scalar loop or, if that fails its probe against math, one
     math call per element (see _libm). Sums add in member order from the
-    same start.
+    same start: each round's h and slope, and the revenue totals, are one
+    axis reduction over a C-ordered (n + 1, k) block whose row 0 is the
+    start (q0 - 1, 1.0 and +0.0) and whose other rows are the items' terms,
+    +0.0 off the members (see _row_sums). No start is -0.0, so adding a
+    non-member's +0.0 leaves every sum as the scalar loop has it.
     Masks are solved in blocks of _MASK_BLOCK to bound the temporaries.
     Raises what the scalar path raises: SolverError at either iteration cap,
     and DomainError where a share rounds to 1 or q0 is subnormal.
@@ -525,8 +553,7 @@ def _solve_masks(qualities: Sequence[float], masks: np.ndarray) -> tuple[np.ndar
     with np.errstate(all="ignore"):
         for start in range(0, masks.size, _MASK_BLOCK):
             block = slice(start, start + _MASK_BLOCK)
-            shares, revenues[block] = _solve_mask_block(theta, masks[block])
-            demands[:, block] = shares.T
+            demands[:, block], revenues[block] = _solve_mask_block(theta, masks[block])
     return demands, revenues
 
 

@@ -152,10 +152,14 @@ def simplex_solve(rows: np.ndarray, rhs: np.ndarray, objective: np.ndarray) -> S
     on an unbounded direction, or when a pivot overflows the floating range.
 
     Each pivot costs a few numpy calls and one short Python loop: the
-    entering column is the first True of one comparison, the ratio test
-    (_leaving_row) runs on Python floats, and each row is updated in place
-    through a view made once per solve, as t[k] - g_k * t[r] with the same
-    two roundings the whole-array expression makes.
+    entering column is the first True of one comparison, written into a
+    kept boolean buffer, the ratio test (_leaving_row) runs on Python
+    floats, and each row is updated in place through a view made once per
+    solve, as t[k] - g_k * t[r] with the same two roundings the
+    whole-array expression makes. The pivot column is copied once into a
+    kept buffer, and the divisor t[r, j] and each multiplier g_k reach
+    numpy as 0-d views of it: a Python float operand costs numpy a
+    conversion on every call, and the values, hence the bits, are the same.
     """
     try:
         a, b, c = (np.asarray(v, dtype=float) for v in (rows, rhs, objective))
@@ -178,22 +182,27 @@ def simplex_solve(rows: np.ndarray, rhs: np.ndarray, objective: np.ndarray) -> S
     basis = list(range(n, n + m))
     red, values, tableau_rows = t[-1, :-1], t[:m, -1], list(t)
     product = np.empty(n + m + 1)
+    entering = np.empty(n + m, dtype=bool)
+    below = np.array(-_PIVOT_TOL)
+    pivot_col = np.empty(m + 1)
+    factors = [pivot_col[k, ...] for k in range(m + 1)]  # 0-d views
 
     # Stop at the first overflow, so every entry the ratio test reads is finite.
     try:
         with np.errstate(over="raise", invalid="raise"):
             for iteration in range(100_000):
-                entering = red < -_PIVOT_TOL
+                np.less(red, below, out=entering)
                 j = int(entering.argmax())  # Bland: lowest index enters
                 if not entering[j]:
                     break
-                col = t[:, j].tolist()
+                pivot_col[:] = t[:, j]
+                col = pivot_col.tolist()
                 r = _leaving_row(col, values.tolist(), basis)
                 pivot_row = tableau_rows[r]
-                pivot_row /= col[r]
+                np.divide(pivot_row, factors[r], out=pivot_row)
                 for k, g in enumerate(col):
                     if k != r and g != 0.0:
-                        np.multiply(pivot_row, g, out=product)
+                        np.multiply(pivot_row, factors[k], out=product)
                         np.subtract(tableau_rows[k], product, out=tableau_rows[k])
                 basis[r] = j
             else:

@@ -463,6 +463,10 @@ class TestBatchedKernel:
         [2.0, 2.0, 2.0, 1.0, 1.0, 1.0],
         [-700.0, 1.0, 2.0],
         [-800.0, 1.0, 2.0, -0.5, 0.5, 3.0],  # a share that underflows to 0.0
+        # Shares near 1e-17: q0 bisects up to 1 - 2**-44, each round's h
+        # starts at -2**-k, and the members' terms move only its last bits.
+        # Every mask, single-member to all-member, sums one (n + 1)-row block.
+        [-38.0, -39.5, -40.0, -41.0, -45.0, -50.0],
     ])
     def test_bit_identity_on_rare_branches(self, qualities):
         assert_kernel_matches_scalar(qualities)
@@ -470,6 +474,10 @@ class TestBatchedKernel:
     def test_mask_subsets_and_block_boundaries(self, monkeypatch):
         # 1023 and 2047 masks are not multiples of the 512-mask block.
         assert_kernel_matches_scalar(np.linspace(3.1, -1.7, 10).tolist())
+        # A lone mask makes one-column sum blocks, which numpy would sum
+        # pairwise rather than row by row.
+        for mask in (23, 57, 4095):
+            assert_kernel_matches_scalar(LP_PLAN_TWELVE, np.array([mask]))
         assert_kernel_matches_scalar(np.linspace(2.2, -2.9, 11).tolist(),
                                      np.arange(1, 1 << 11)[::-1])
         monkeypatch.setattr(equilibrium, "_MASK_BLOCK", 10)
@@ -573,6 +581,23 @@ class TestBatchedKernel:
         assert {0.0, 5e-324} == set(want[lx < math.log(5e-324)].tolist())
         assert_kernel_matches_scalar([-744.0, -745.5, -746.0, 0.0, 1.0, 2.0])
         assert_kernel_matches_scalar(np.linspace(-744.45, -745.1, 7).tolist())
+
+    @pytest.mark.parametrize("lx", [
+        # The first two iterates: no Newton step leaves its bracket and no
+        # element converges.
+        np.linspace(1.5, 20.0, 40),
+        # Iterates where some elements converge and others fall back, with
+        # both fallbacks taken.
+        np.linspace(-30.0, 30.0, 61),
+        # On these powers of two a Newton step from below rounds back to w
+        # while hi is still inf, so w doubles (2**27 on its first iterate,
+        # where f is -ulp(w)/2).
+        np.array([8192.0, 2.0**20, 2.0**27, 3.0]),
+    ], ids=["newton-only", "mixed", "overshoot"])
+    def test_share_kernel_matches_scalar(self, lx):
+        want = np.array([equilibrium._share_from_log(x) for x in lx.tolist()])
+        with np.errstate(all="ignore"):  # as inside _solve_masks
+            assert_same_bits(equilibrium._shares_from_log(lx), want)
 
     def test_twelve_item_enumeration_peaks_under_2_mb(self):
         # The result arrays are 0.43 MB; 512-mask blocks bound the rest.
@@ -767,6 +792,23 @@ def expanded_opt(catalog, m):
     return simplex_solve(rows, rhs, values).objective
 
 
+class TestPivotTolerance:
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the entering test reads reduced costs against an absolute "
+                       "1e-9, so an LP whose values all lie below it reports 0.0")
+    def test_values_below_the_pivot_tolerance(self):
+        optimize = pytest.importorskip("scipy.optimize")
+        catalog = ItemCatalog([-0.7877911036727456, 1e-13, 2.323082446794098], [1, 1, 1])
+        sol = solve_opt_fixed_rev(catalog, 1, [2e-11] * 3)
+        values = 2e-11 * enumerate_columns(catalog).demands.sum(axis=0)
+        rows, rhs, c = lp_of(catalog, 1, values)
+        highs = optimize.linprog(-c, A_ub=rows, b_ub=rhs, bounds=(0, None), method="highs",
+                                 options={"primal_feasibility_tolerance": 1e-10,
+                                          "dual_feasibility_tolerance": 1e-10})
+        assert highs.status == 0 and -highs.fun > 1e-11
+        assert sol.objective == pytest.approx(-highs.fun, rel=1e-6)
+
+
 class TestCollapse:
     def test_collapsed_equals_time_expanded(self):
         rng = np.random.default_rng(53)
@@ -823,3 +865,20 @@ class TestImpossibilityCertificate:
             scaled = horizon * res.objective
             print(f"g={growth:g} H={horizon}: H*c*(H)={scaled:.6f} g/(g-1)={growth / (growth - 1):.6f}")
             assert abs(scaled - growth / (growth - 1)) <= 0.025
+
+    @pytest.mark.parametrize("growth", [2.0, 3.0, 5.0, 10.0])
+    def test_optimum_has_a_closed_form(self, growth):
+        # With every prefix row tight, y_t = c * w_t where a_t = 1 + r_t,
+        # w_1 = g / a_1 and w_t = (g^t - g^(t-1)) / a_t, and each stock row
+        # c * (w_t + q_t * sum_{s<t} w_s) <= q_t bounds c. The least bound
+        # is c*(H).
+        for horizon in (4, 8, 16, 32):
+            inst, *lp = impossibility_lp(growth, horizon)
+            a = [1.0 + inst.solo_revenue(t) for t in range(1, horizon + 1)]
+            w = [growth / a[0]] + [(growth**t - growth ** (t - 1)) / a[t - 1]
+                                   for t in range(2, horizon + 1)]
+            bounds = []
+            for t in range(horizon):
+                q = inst.solo_demand(t + 1)
+                bounds.append(q / (w[t] + q * sum(w[:t])))
+            assert simplex_solve(*lp).objective == pytest.approx(min(bounds), rel=1e-12)
