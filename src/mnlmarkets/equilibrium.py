@@ -83,11 +83,16 @@ _Q0_MAX_ITER = 1100
 _Q0_SUBNORMAL = "qualities too large: the no-purchase share is subnormal"
 _SHARE_ROUNDS_TO_ONE = "quality too large: an equilibrium share rounds to 1"
 _LN_LEAST_SUBNORMAL = math.log(5e-324)
-# Masks per block of _solve_masks, to bound its temporaries. At n = 12 one
-# 4095-mask block peaks at 5.7 MB under tracemalloc, 512-mask blocks at
-# 1.25 MB, with no difference in speed beyond run-to-run noise; 256-mask
-# blocks run 1.4x slower.
-_MASK_BLOCK = 512
+# Masks per block of _solve_masks, to bound its temporaries. Each round of a
+# block pays a fixed cost in numpy calls, so wider blocks run faster while
+# the peak grows with the width. Over all masks of the 24 seed-0 lp-plan
+# catalogs (10-12 items), three sweeps of 5-9 interleaved runs on a shared
+# 2-core x86-64 Xeon (numpy 2.4) put the kernel time, relative to 1024-mask
+# blocks, at 1.6-2.1x for 256 masks, 1.13-1.33x for 512, 0.97-1.07x for
+# 2048 and 0.89-0.96x for 4096; a 12-item enumeration peaks at 0.71, 0.95,
+# 1.40, 2.26 and 3.90 MiB under tracemalloc. 1024 is the widest block under
+# the 2 MiB bound that tests/test_lp.py holds the enumeration to.
+_MASK_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -383,7 +388,7 @@ def _exact_ufunc(fn):
     return ufunc
 
 
-def _libm(fn, values: np.ndarray) -> np.ndarray:
+def _libm(fn, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``fn`` (a ``math`` function) of each element of a 1-D array, with math's bits.
 
     numpy's contiguous exp, log and log1p loops are SIMD code that differs
@@ -394,13 +399,17 @@ def _libm(fn, values: np.ndarray) -> np.ndarray:
     function is checked against math once (_exact_ufunc) and keeps the
     Python-level map if the check fails. A 1-element view counts as
     contiguous and takes the SIMD loop, so fewer than 2 elements map too.
+    ``out``, if given, is a negative-stride view of values.size elements
+    for the ufunc to write into and return; the map path leaves it alone.
     Where math raises (log of 0.0, exp overflow) the ufunc returns -inf or
     inf; the solvers never pass such arguments.
     """
     ufunc = _exact_ufunc(fn) if values.size >= 2 else None
     if ufunc is None:
         return _mapped(fn, values)
-    return _reversed_out(ufunc, values)
+    if out is None:
+        return _reversed_out(ufunc, values)
+    return ufunc(values, out=out)
 
 
 def _shares_from_log(lx: np.ndarray) -> np.ndarray:
@@ -411,36 +420,74 @@ def _shares_from_log(lx: np.ndarray) -> np.ndarray:
     and libm the logarithms. The bisection or doubling fallback is computed
     only for the elements whose Newton step leaves the bracket, and the
     active set is compacted only on iterates where some element converged;
-    both are per-element choices, so neither moves a bit.
+    both are per-element choices, so neither moves a bit. The iterates live
+    in buffers allocated once per call, the k active elements in each one's
+    leading k entries: arithmetic writes through out=, both logarithms go
+    to one kept negative-stride view (see _libm), the bracket moves by
+    np.copyto with where=, and on an iterate where nothing converged the
+    Newton points become the iterates by swapping two buffers.
     """
     w = lx.copy()
     small = lx <= 1.0
     w[small] = _libm(math.exp, lx[small])
     y = np.zeros_like(lx)  # where exp(lx) underflows to 0.0 the root is 0.0
     act = np.flatnonzero(w != 0.0)
-    w, lx = w[act], lx[act]
-    lo, hi = np.zeros_like(w), np.full_like(w, math.inf)
+    k = act.size
+    w, lx, nxt = w[act], lx[act], np.empty(k)
+    lo, hi = np.zeros(k), np.full(k, math.inf)
+    f, t, logs = np.empty(k), np.empty(k), np.empty(k)[::-1]
+    done, inside, spare = (np.empty(k, dtype=bool) for _ in range(3))
     for _ in range(_MAX_ITER):
-        if not act.size:
+        if not k:
             break
-        f = w + _libm(math.log, w) - _libm(math.log1p, w) - lx
-        up = f > 0.0
-        hi = np.where(up, w, hi)
-        lo = np.where(up, lo, w)
-        nxt = w - f / (1.0 + 1.0 / (w * (1.0 + w)))
-        out = np.flatnonzero(~((lo < nxt) & (nxt < hi)))
-        if out.size:
-            lo_o, hi_o = lo[out], hi[out]
-            nxt[out] = np.where(np.isfinite(hi_o), 0.5 * (lo_o + hi_o), 2.0 * w[out])
-        done = (np.abs(f) < 1e-14) | (nxt == w) | (nxt == 0.0)
-        if not done.any():
-            w = nxt
+        w_k, nxt_k, lx_k, f_k, t_k, lo_k, hi_k = w[:k], nxt[:k], lx[:k], f[:k], t[:k], lo[:k], hi[:k]
+        done_k, inside_k, spare_k = done[:k], inside[:k], spare[:k]
+        # f = w + ln w - ln(1 + w) - lx, added left to right
+        np.add(w_k, _libm(math.log, w_k, logs[:k]), out=f_k)
+        np.subtract(f_k, _libm(math.log1p, w_k, logs[:k]), out=f_k)
+        np.subtract(f_k, lx_k, out=f_k)
+        np.greater(f_k, 0.0, out=spare_k)
+        np.copyto(hi_k, w_k, where=spare_k)
+        np.logical_not(spare_k, out=spare_k)
+        np.copyto(lo_k, w_k, where=spare_k)
+        np.abs(f_k, out=t_k)
+        np.less(t_k, 1e-14, out=done_k)
+        # nxt = w - f / (1 + 1 / (w (1 + w))); IEEE + and * commute exactly
+        np.add(w_k, 1.0, out=t_k)
+        np.multiply(w_k, t_k, out=t_k)
+        np.divide(1.0, t_k, out=t_k)
+        np.add(t_k, 1.0, out=t_k)
+        np.divide(f_k, t_k, out=t_k)
+        np.subtract(w_k, t_k, out=nxt_k)
+        # The fallback, where the step leaves the bracket of an element not
+        # done by |f|. A Newton point inside the bracket is neither w, now
+        # an end of it, nor 0.0 <= lo, so only a fallback point can stop an
+        # element by nxt == w or nxt == 0.0.
+        np.less(lo_k, nxt_k, out=inside_k)
+        np.less(nxt_k, hi_k, out=spare_k)
+        np.logical_and(inside_k, spare_k, out=inside_k)
+        np.logical_or(inside_k, done_k, out=inside_k)
+        if not inside_k.all():
+            out = np.flatnonzero(~inside_k)
+            lo_o, hi_o, w_o = lo_k[out], hi_k[out], w_k[out]
+            nxt_o = np.where(np.isfinite(hi_o), 0.5 * (lo_o + hi_o), 2.0 * w_o)
+            nxt_k[out] = nxt_o
+            done_k[out] = (nxt_o == w_o) | (nxt_o == 0.0)
+        if not done_k.any():
+            w, nxt = nxt, w
             continue
-        y[act[done]] = w[done] / (1.0 + w[done])
-        go = ~done
-        act, w, lx, lo, hi = act[go], nxt[go], lx[go], lo[go], hi[go]
+        if done_k.all():
+            y[act] = w_k / (1.0 + w_k)
+            break
+        w_done = w_k[done_k]
+        y[act[done_k]] = w_done / (1.0 + w_done)
+        go = np.logical_not(done_k, out=spare_k)
+        act = act[go]
+        k = act.size
+        # Boolean indexing copies before the write, so overlap is safe.
+        w[:k], lx[:k], lo[:k], hi[:k] = nxt_k[go], lx_k[go], lo_k[go], hi_k[go]
     else:
-        if act.size:
+        if k:
             raise SolverError(f"share iteration stalled at lx={lx[0]}")
     if (y == 1.0).any():
         raise DomainError(_SHARE_ROUNDS_TO_ONE)
@@ -470,27 +517,47 @@ def _solve_mask_block(theta: np.ndarray, masks: np.ndarray) -> tuple[np.ndarray,
     lq = np.empty(k)  # ln q0 of each mask's latest round
     shares = np.zeros((n, k))  # each mask's shares at its latest q0
     act = np.arange(k)
+    share = True  # masks may meet at one q0 until a round finds none that do
     for _ in range(_Q0_MAX_ITER):
         m = np.take(member, act, axis=1)
         qa = q0[act]
-        # One ln q0 per distinct q0, one share per (q0, member item).
-        distinct, at = np.unique(qa, return_inverse=True)
-        ln_q0 = _libm(math.log, distinct)
-        lq[act] = ln_q0[at]
-        items, cols = np.nonzero(m)
-        needed = np.zeros((distinct.size, n), dtype=bool)
-        needed[at[cols], items] = True
-        table = np.zeros(needed.shape)
-        table[needed] = _shares_from_log((ln_q0[:, None] + off)[needed])
         # Row 0 of each (n + 1, k) block is the start of a sum, and rows 1..n
         # are the members' terms in ascending position, as the scalar loop
         # adds them. A non-member's term is +0.0, which leaves the sum as is.
-        terms = np.empty((2, n + 1, act.size))
+        # The block is allocated after the share solve, the peak of a round.
+        if share:
+            # One ln q0 per distinct q0, one share per (q0, member item).
+            distinct, at = np.unique(qa, return_inverse=True)
+            share = distinct.size < qa.size
+            ln_q0 = _libm(math.log, distinct)
+            needed = np.zeros((distinct.size, n), dtype=bool)
+            items, cols = np.nonzero(m)
+            needed[at[cols], items] = True
+            del items, cols
+            solved = _shares_from_log((ln_q0[:, None] + off)[needed])
+            table = np.zeros(needed.shape)
+            table[needed] = solved
+            del solved, needed
+            ln_q = ln_q0[at]
+            terms = np.empty((2, n + 1, act.size))
+            y = terms[0, 1:]
+            # Shares are finite and >= +0.0, so y * False is +0.0. The
+            # indices are valid; mode="raise" would copy through a buffer.
+            np.take(table.T, at, axis=1, out=y, mode="clip")
+            np.multiply(y, m, out=y)
+            del table
+        else:
+            ln_q = _libm(math.log, qa)
+            solved = _shares_from_log((ln_q + off[:, None])[m])
+            terms = np.empty((2, n + 1, act.size))
+            y = terms[0, 1:]
+            y[...] = 0.0
+            y[m] = solved
+            del solved
+        lq[act] = ln_q
+        shares[:, act] = y
         terms[0, 0] = qa - 1.0
         terms[1, 0] = 1.0
-        y = terms[0, 1:]
-        y[...] = np.where(m, np.take(table.T, at, axis=1), 0.0)
-        shares[:, act] = y
         w = y / (1.0 - y)
         np.divide(y, (1.0 + w * (1.0 + w)) * qa, out=terms[1, 1:])
         h, slope = _row_sums(terms)
@@ -501,6 +568,7 @@ def _solve_mask_block(theta: np.ndarray, masks: np.ndarray) -> tuple[np.ndarray,
         lo_a = np.where(up, lo[act], qa)
         nxt = qa - h / slope
         nxt = np.where((lo_a < nxt) & (nxt < hi_a), nxt, 0.5 * (lo_a + hi_a))
+        del terms, y, w  # not live through the next round's share solve
         go = ~((np.abs(h) < 1e-13) | (nxt == qa))
         act = act[go]
         q0[act], lo[act], hi[act] = nxt[go], lo_a[go], hi_a[go]
@@ -533,16 +601,20 @@ def _solve_masks(qualities: Sequence[float], masks: np.ndarray) -> tuple[np.ndar
     solve each member item's share once: a share depends only on
     ln q0 + (theta_i - 1), so sharing it cannot move a bit, and in the
     first rounds, whose q0 are 0.5 and the bisection points, it skips most
-    solves. numpy does the control flow and all + - * / and comparisons,
-    which are IEEE-exact; every exp, log and log1p is libm's, through
-    numpy's scalar loop or, if that fails its probe against math, one
-    math call per element (see _libm). Sums add in member order from the
-    same start: each round's h and slope, and the revenue totals, are one
-    axis reduction over a C-ordered (n + 1, k) block whose row 0 is the
-    start (q0 - 1, 1.0 and +0.0) and whose other rows are the items' terms,
-    +0.0 off the members (see _row_sums). No start is -0.0, so adding a
-    non-member's +0.0 leaves every sum as the scalar loop has it.
-    Masks are solved in blocks of _MASK_BLOCK to bound the temporaries.
+    solves. Once a round finds every q0 distinct, later rounds skip the
+    search and solve each mask's shares directly. numpy does the control
+    flow and all + - * / and comparisons, which are IEEE-exact; every exp,
+    log and log1p is libm's, through numpy's scalar loop or, if that fails
+    its probe against math, one math call per element (see _libm). Sums
+    add in member order from the same start: each round's h and slope, and
+    the revenue totals, are one axis reduction over a C-ordered (n + 1, k)
+    block whose row 0 is the start (q0 - 1, 1.0 and +0.0) and whose other
+    rows are the items' terms, +0.0 off the members (see _row_sums). No
+    start is -0.0, so adding a non-member's +0.0 leaves every sum as the
+    scalar loop has it.
+    Masks are solved in blocks of _MASK_BLOCK to bound the temporaries,
+    and no round's sum block is live during a share solve, the peak of a
+    round.
     Raises what the scalar path raises: SolverError at either iteration cap,
     and DomainError where a share rounds to 1 or q0 is subnormal.
     """

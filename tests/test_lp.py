@@ -441,6 +441,32 @@ def assert_kernel_matches_scalar(qualities, masks=None):
     return cat, demands, revenues
 
 
+# Scalar roots in 1, 2, 3 and 5 iterates: the active set shrinks to one
+# element, which runs its last two iterates alone.
+DOWN_TO_ONE_LX = np.array([-20.0, -10.0, -5.0, 0.0])
+
+# Inputs of the share kernel, each compared with the scalar root bit for bit.
+SHARE_KERNEL_LX = [
+    # The first two iterates: no Newton step leaves its bracket and no
+    # element converges.
+    pytest.param(np.linspace(1.5, 20.0, 40), id="newton-only"),
+    # Iterates where some elements converge and others fall back, with
+    # both fallbacks taken.
+    pytest.param(np.linspace(-30.0, 30.0, 61), id="mixed"),
+    # On these powers of two a Newton step from below rounds back to w
+    # while hi is still inf, so w doubles (2**27 on its first iterate,
+    # where f is -ulp(w)/2).
+    pytest.param(np.array([8192.0, 2.0**20, 2.0**27, 3.0]), id="overshoot"),
+    pytest.param(DOWN_TO_ONE_LX, id="down-to-one"),
+    # Every root takes 5 iterates, so nothing converges in the first 4 and
+    # the Newton points become the iterates by buffer swaps alone.
+    pytest.param(np.linspace(-1.2, 2.2, 35), id="no-convergence"),
+    # Roots in 4, 5, 5 and 5 iterates, the last after one doubling: three
+    # swaps, a compaction, then the rest stop together.
+    pytest.param(np.array([-3.4, -1.0, 0.5, 43.55]), id="swap-then-compact"),
+]
+
+
 class TestBatchedKernel:
     @pytest.mark.parametrize("n", [5, 6, 7])
     def test_bit_identity_across_the_crossover(self, n):
@@ -582,22 +608,61 @@ class TestBatchedKernel:
         assert_kernel_matches_scalar([-744.0, -745.5, -746.0, 0.0, 1.0, 2.0])
         assert_kernel_matches_scalar(np.linspace(-744.45, -745.1, 7).tolist())
 
-    @pytest.mark.parametrize("lx", [
-        # The first two iterates: no Newton step leaves its bracket and no
-        # element converges.
-        np.linspace(1.5, 20.0, 40),
-        # Iterates where some elements converge and others fall back, with
-        # both fallbacks taken.
-        np.linspace(-30.0, 30.0, 61),
-        # On these powers of two a Newton step from below rounds back to w
-        # while hi is still inf, so w doubles (2**27 on its first iterate,
-        # where f is -ulp(w)/2).
-        np.array([8192.0, 2.0**20, 2.0**27, 3.0]),
-    ], ids=["newton-only", "mixed", "overshoot"])
+    @pytest.mark.parametrize("lx", SHARE_KERNEL_LX)
     def test_share_kernel_matches_scalar(self, lx):
         want = np.array([equilibrium._share_from_log(x) for x in lx.tolist()])
         with np.errstate(all="ignore"):  # as inside _solve_masks
             assert_same_bits(equilibrium._shares_from_log(lx), want)
+
+    @pytest.mark.parametrize("lx", SHARE_KERNEL_LX)
+    def test_share_kernel_map_path_matches_scalar(self, monkeypatch, lx):
+        # The buffered loop as on a host whose numpy fails the libm probe.
+        monkeypatch.setattr(equilibrium, "_exact_ufunc", lambda fn: None)
+        want = np.array([equilibrium._share_from_log(x) for x in lx.tolist()])
+        with np.errstate(all="ignore"):
+            assert_same_bits(equilibrium._shares_from_log(lx), want)
+
+    def test_share_kernel_maps_a_lone_active_element(self, monkeypatch):
+        # The last active element iterates alone, so its logarithms take
+        # _libm's map path while the others took numpy's scalar loop.
+        lx = DOWN_TO_ONE_LX
+        sizes = []
+        mapped = equilibrium._mapped
+
+        def spy(fn, values):
+            sizes.append(values.size)
+            return mapped(fn, values)
+
+        monkeypatch.setattr(equilibrium, "_mapped", spy)
+        want = np.array([equilibrium._share_from_log(x) for x in lx.tolist()])
+        with np.errstate(all="ignore"):
+            assert_same_bits(equilibrium._shares_from_log(lx), want)
+        assert sizes and set(sizes) == {1}
+
+    @pytest.mark.parametrize("count", [
+        pytest.param(lambda block: block - 1, id="one-partial-block"),
+        pytest.param(lambda block: 2 * block - 1, id="full-and-partial"),
+        pytest.param(lambda block: block + 1, id="full-and-lone-mask"),
+    ])
+    def test_blocks_at_the_mask_block_size(self, monkeypatch, count):
+        # 1023, 2047 and 1025 masks at 1024-mask blocks: every mask of a
+        # 10- and an 11-item catalog, and a subset of the 11-item masks,
+        # each shuffled. The last block of the subset is one mask wide.
+        block = equilibrium._MASK_BLOCK
+        size = count(block)
+        n = size.bit_length()
+        rng = np.random.default_rng(size)
+        masks = rng.permutation(np.arange(1, 1 << n))[:size]
+        sizes = []
+        solve_block = equilibrium._solve_mask_block
+
+        def spy(theta, block_masks):
+            sizes.append(block_masks.size)
+            return solve_block(theta, block_masks)
+
+        monkeypatch.setattr(equilibrium, "_solve_mask_block", spy)
+        assert_kernel_matches_scalar(rng.uniform(-2.0, 3.5, n).tolist(), masks)
+        assert sizes == [block] * (size // block) + [size % block]
 
     def test_twelve_item_enumeration_peaks_under_2_mb(self):
         # The result arrays are 0.43 MB; 512-mask blocks bound the rest.
