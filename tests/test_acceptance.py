@@ -6,9 +6,9 @@ lines and timings.
 Criterion 1 asserts the source example's eleven values within 0.005, using
 the exact equilibrium rounded to two decimals. Six quoted values were
 printed from rounded intermediates (1.56 is 1/(1 - 0.36), not the exact
-solo price 1.5671), so the test derives every value again from a test-local
-oracle that never calls ``mnlmarkets`` and prints the quoted, exact and
-asserted numbers side by side.
+solo price 1.5671), so the test derives every value again from an oracle
+in ``oracles.py`` that never calls ``mnlmarkets`` and prints the quoted,
+exact and asserted numbers side by side.
 
 Criterion 7 asserts what the method promises, not single-instance trends
 that it does not. The threshold sweep checks the worst-case bound
@@ -20,7 +20,6 @@ guarantee under one seed: path prefixes, rising revenue and a nondecreasing
 concave LP optimum; the measured ratio itself is not monotone in m.
 """
 
-import itertools
 import json
 import math
 import time
@@ -34,20 +33,14 @@ from mnlmarkets.equilibrium import (
     quality_for_target_revenue,
 )
 from mnlmarkets.equilibrium import _outcome_cached
-from mnlmarkets.lp import enumerate_columns, simplex_solve, solve_opt, solve_opt_fixed_rev
+from mnlmarkets.lp import solve_opt, solve_opt_fixed_rev
 from mnlmarkets.network import (
     BipartiteMarket,
     solve_network_equilibrium,
     verify_equilibrium,
 )
 from mnlmarkets.policies import OnlineInstance, classify_heavy, hybrid_next
-from mnlmarkets.segmentation import (
-    WEIGHT_SCALE,
-    build_flow_network,
-    max_weight_flow,
-    segment_market,
-    unit_price_weight,
-)
+from mnlmarkets.segmentation import build_flow_network, max_weight_flow, segment_market
 from mnlmarkets.simulate import (
     episode_rng,
     estimate_ratio,
@@ -55,6 +48,8 @@ from mnlmarkets.simulate import (
     run_episode,
     threshold_headroom,
 )
+from oracles import (brute_force_assignment, expanded_opt, oracle_best_responses, oracle_solo,
+                     single_buyer_prices)
 
 E = math.e
 SWEEP_CATALOG = ItemCatalog(
@@ -64,56 +59,6 @@ SWEEP_CATALOG = ItemCatalog(
 
 def report(num: int, ok: bool, detail: str) -> None:
     print(f"criterion {num:02d} {'PASS' if ok else 'FAIL'} - {detail}")
-
-
-def _bisect_increasing(f, lo: float, hi: float) -> float:
-    """Root of a strictly increasing f with f(lo) < 0 < f(hi), to the last float."""
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            return mid
-        if f(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-
-
-def oracle_solo(theta: float) -> tuple[float, ...]:
-    """(q0, q, p, R) of one item shown alone, without mnlmarkets.
-
-    The first-order condition p = 1/(1 - q) gives r = p - 1 = e^{theta - p},
-    i.e. r + ln r = theta - 1.
-    """
-    r = _bisect_increasing(lambda r: r + math.log(r) - (theta - 1.0), 0.0, abs(theta) + 2.0)
-    return (1.0 / (1.0 + r), r / (1.0 + r), 1.0 + r, r)
-
-
-def oracle_best_responses(thetas: list[float]) -> tuple[float, ...]:
-    """(q0, *q, *p, R) of an assortment by round-robin best responses.
-
-    Seller i's best response solves p = 1 + e^{theta_i - p} / rest, where
-    rest = 1 + sum of the rivals' e^{theta_j - p_j}; the left minus the right
-    side is increasing in p, so bisection finds it.
-    """
-    prices = [1.0] * len(thetas)
-    for _ in range(200):
-        previous = list(prices)
-        for i, theta in enumerate(thetas):
-            rest = 1.0 + sum(
-                math.exp(t - p) for j, (t, p) in enumerate(zip(thetas, prices)) if j != i
-            )
-            prices[i] = _bisect_increasing(
-                lambda p: p - 1.0 - math.exp(theta - p) / rest,
-                1.0,
-                1.0 + math.exp(theta - 1.0) / rest,
-            )
-        if prices == previous:
-            break
-    weights = [math.exp(t - p) for t, p in zip(thetas, prices)]
-    denom = 1.0 + sum(weights)
-    demands = [w / denom for w in weights]
-    revenue = sum(p * q for p, q in zip(prices, demands))
-    return (1.0 / denom, *demands, *prices, revenue)
 
 
 def _flatten(outcome) -> tuple[float, ...]:
@@ -420,11 +365,7 @@ class TestCriterion08SingleBuyerReduction:
             mkt = BipartiteMarket(thetas.reshape(-1, 1), capacities=[1] * n)
             rep = solve_network_equilibrium(mkt)
             assert rep.converged
-            cat = ItemCatalog(thetas, [1] * n)
-            out = equilibrium_outcome(cat, tuple(range(n)))
-            want = [0.0] * n
-            for pos, price in enumerate(out.prices):
-                want[cat.order[pos]] = price
+            want = single_buyer_prices(thetas)
             worst = max(worst, max(abs(a - b) for a, b in zip(rep.prices, want)))
         ok = worst <= 1e-6
         report(8, ok, f"50 single-buyer markets; max price gap {worst:.2e}")
@@ -460,39 +401,6 @@ class TestCriterion09SecondOrderCondition:
         )
         assert second_worst < 0.0
         assert cap_worst >= -1e-7
-
-
-def brute_force_assignment(market):
-    m, n = market.buyers, market.sellers
-    scaled = np.zeros((n, m), dtype=np.int64)
-    for i in range(n):
-        for k in range(m):
-            if market.visibility[i, k]:
-                scaled[i, k] = round(
-                    WEIGHT_SCALE * unit_price_weight(float(market.theta[i, k]))
-                )
-    options = [
-        [None] + [i for i in range(n) if market.visibility[i, k]] for k in range(m)
-    ]
-    best_by_count: dict[int, int] = {}
-    for combo in itertools.product(*options):
-        used = [0] * n
-        weight = 0
-        count = 0
-        feasible = True
-        for k, i in enumerate(combo):
-            if i is None:
-                continue
-            used[i] += 1
-            if used[i] > market.capacities[i]:
-                feasible = False
-                break
-            weight += int(scaled[i, k])
-            count += 1
-        if feasible:
-            best_by_count[count] = max(best_by_count.get(count, -1), weight)
-    max_count = max(best_by_count)
-    return max_count, best_by_count[max_count]
 
 
 class TestCriterion10SegmentationOracle:
@@ -544,20 +452,7 @@ class TestCriterion11LpCollapse:
             cat = ItemCatalog(rng.uniform(-2.0, 2.5, n), rng.integers(1, 4, n))
             m = int(rng.integers(1, 6))
             collapsed = solve_opt(cat, m).objective
-            cols = enumerate_columns(cat).columns
-            k = len(cols)
-            rows = np.zeros((n + m, m * k))
-            values = np.zeros(m * k)
-            for t in range(m):
-                for j, col in enumerate(cols):
-                    jj = t * k + j
-                    values[jj] = col.revenue
-                    rows[n + t, jj] = 1.0
-                    for i, q in zip(col.members, col.demands):
-                        rows[i, jj] = q
-            rhs = np.array(list(cat.inventories) + [1.0] * m, dtype=float)
-            expanded = simplex_solve(rows, rhs, values).objective
-            worst = max(worst, abs(collapsed - expanded))
+            worst = max(worst, abs(collapsed - expanded_opt(cat, m)))
         ok = worst <= 1e-7
         report(11, ok, f"20 instances (m<=5, n<=4); max collapse gap {worst:.2e}")
         assert worst <= 1e-7

@@ -35,6 +35,7 @@ from mnlmarkets.equilibrium import (
     solve_no_purchase,
     solve_share,
 )
+from oracles import assert_same_bits, bertrand_fixed_point
 
 E = math.e
 
@@ -156,20 +157,6 @@ class TestSolveNoPurchase:
             ) + q0 - 1.0
             assert abs(resid) <= 1e-10
             assert 0.0 < q0 <= 1.0
-
-
-def bertrand_fixed_point(qualities, tol=1e-13):
-    """Independent oracle: damped iteration of p_i = 1/(1 - q_i(p))."""
-    n = len(qualities)
-    p = [1.0] * n
-    for _ in range(100_000):
-        q = mnl_demand(qualities, p)
-        nxt = [1.0 / (1.0 - qi) for qi in q]
-        err = max(abs(a - b) for a, b in zip(nxt, p))
-        p = [0.5 * (a + b) for a, b in zip(nxt, p)]
-        if err < tol:
-            return p
-    raise AssertionError("oracle iteration did not converge")
 
 
 class TestEquilibriumOutcome:
@@ -580,13 +567,6 @@ class TestBestResponseShareRoundsToOne:
         assert math.isfinite(p) and 1.0 < p < 60.0
         q = mnl_demand([40.0, 1.0], [p, 1.0])[0]
         assert abs(1.0 - p * (1.0 - q)) < 1e-9
-
-
-def assert_same_bits(got, want):
-    """Equal as int64 views, so the sign of zero counts."""
-    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
-    assert got.shape == want.shape
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 @pytest.fixture

@@ -1,7 +1,6 @@
 """Tests for the clairvoyant LP benchmark and the internal simplex."""
 
 import gc
-import itertools
 import math
 import tracemalloc
 import warnings
@@ -20,104 +19,17 @@ from mnlmarkets.equilibrium import (
     equilibrium_outcome,
 )
 from mnlmarkets.lp import (
-    SimplexResult,
     enumerate_columns,
     simplex_solve,
     solve_opt,
     solve_opt_fixed_rev,
 )
-from mnlmarkets.simulate import adversarial_instance, always_offer_ratio
+from mnlmarkets.simulate import always_offer_ratio
+from oracles import (assert_certified, assert_same_bits, brute_force_lp, expanded_opt, highs_maximum,
+                     impossibility_lp, reference_simplex, scalar_columns)
 
 OMEGA = 0.56714329040978387  # solo revenue of a theta=1 item
 R_PAIR = 1.0640048420806135  # total revenue of the theta=(1,2) assortment
-
-
-def brute_force_lp(a, b, c):
-    """Vertex-enumeration oracle for max c'x s.t. ax <= b, x >= 0.
-
-    Appends slacks and enumerates every basis of the standard-form system;
-    exponential, so only for tiny instances.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    c = np.asarray(c, dtype=float)
-    m, n = a.shape
-    full = np.hstack([a, np.eye(m)])
-    best = None
-    for basis in itertools.combinations(range(n + m), m):
-        sub = full[:, basis]
-        if abs(np.linalg.det(sub)) < 1e-10:
-            continue
-        xb = np.linalg.solve(sub, b)
-        if np.any(xb < -1e-9):
-            continue
-        x = np.zeros(n + m)
-        x[list(basis)] = xb
-        val = float(c @ x[:n])
-        if best is None or val > best:
-            best = val
-    return best
-
-
-def reference_simplex(rows, rhs, objective):
-    """The Bland loop with whole-array numpy per pivot, kept as an oracle.
-
-    simplex_solve must give the same objective, x, duals and pivot count
-    bit for bit, and raise the same errors.
-    """
-    a = np.asarray(rows, dtype=float)
-    b = np.asarray(rhs, dtype=float)
-    c = np.asarray(objective, dtype=float)
-    if a.ndim != 2 or a.shape != (b.size, c.size):
-        raise DomainError("inconsistent LP dimensions")
-    if not (np.isfinite(a).all() and np.isfinite(b).all() and np.isfinite(c).all()):
-        raise DomainError("LP data must be finite")
-    if np.any(b < 0):
-        raise DomainError("rhs must be nonnegative for a slack start")
-    m, n = a.shape
-    t = np.zeros((m + 1, n + m + 1))
-    t[:m, :n] = a
-    t[:m, n : n + m] = np.eye(m)
-    t[:m, -1] = b
-    t[-1, :n] = -c
-    basis = list(range(n, n + m))
-
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            for iteration in range(100_000):
-                red = t[-1, :-1]
-                entering_candidates = np.nonzero(red < -1e-9)[0]
-                if entering_candidates.size == 0:
-                    break
-                j = int(entering_candidates[0])  # Bland: lowest index enters
-                col = t[:m, j]
-                positive = col > 1e-9
-                if not positive.any():
-                    raise SolverError("LP is unbounded")
-                ratios = np.full(m, np.inf)
-                ratios[positive] = t[:m, -1][positive] / col[positive]
-                best = ratios.min()
-                ties = np.nonzero(ratios <= best * (1 + 1e-12) + 1e-15)[0]
-                r = int(min(ties, key=lambda k: basis[k]))  # Bland: lowest basic index leaves
-                # Pivot on (r, j).
-                t[r] /= t[r, j]
-                for k in range(m + 1):
-                    if k != r and t[k, j] != 0.0:
-                        t[k] -= t[k, j] * t[r]
-                basis[r] = j
-            else:
-                raise SolverError("simplex iteration cap exceeded")
-    except FloatingPointError as exc:
-        raise SolverError("LP values overflow the floating range") from exc
-
-    x = np.zeros(n + m)
-    x[basis] = t[:m, -1]
-    return SimplexResult(
-        objective=float(t[-1, -1]),
-        x=x[:n].copy(),
-        duals=t[-1, n : n + m].copy(),
-        iterations=iteration,
-    )
 
 
 def assert_solves_like_reference(rows, rhs, objective):
@@ -135,39 +47,6 @@ def assert_solves_like_reference(rows, rhs, objective):
     assert_same_bits(got.x, want.x)
     assert_same_bits(got.duals, want.duals)
     return got
-
-
-def lp_certificate(a, b, c, res):
-    """Optimality certificate of res for max c'z s.t. a z <= b, z >= 0.
-
-    The primal residual ||(a z - b)+||, the least mass and dual (both must be
-    >= 0), the worst reduced cost min(y'a - c) (>= 0 at an optimum) and the
-    duality gap |c'z - b'y|, with y the row duals.
-    """
-    a, b, c = (np.asarray(v, dtype=float) for v in (a, b, c))
-    z, y = res.x, res.duals
-    return {
-        "primal_residual": float(np.linalg.norm(np.maximum(a @ z - b, 0.0))),
-        "least_mass": float(z.min()),
-        "least_dual": float(y.min()),
-        "worst_reduced_cost": float((y @ a - c).min()),
-        "duality_gap": abs(float(c @ z) - float(b @ y)),
-    }
-
-
-def assert_certified(a, b, c, res):
-    """The certificate holds to 1e-9 relative to the LP's scale.
-
-    1e-9 is the simplex's pivot tolerance: reduced costs above -1e-9 count as
-    optimal, and entries at or below 1e-9 are not pivoted on.
-    """
-    cert = lp_certificate(a, b, c, res)
-    scale = max(1.0, abs(res.objective), float(np.abs(b).max()))
-    assert cert["primal_residual"] <= 1e-9 * scale, cert
-    assert cert["least_mass"] >= -1e-9 * scale, cert
-    assert cert["least_dual"] >= -1e-9 * max(1.0, float(np.abs(c).max())), cert
-    assert cert["worst_reduced_cost"] >= -1e-9 * max(1.0, float(np.abs(c).max())), cert
-    assert cert["duality_gap"] <= 1e-9 * scale, cert
 
 
 def lp_of(catalog, m, values):
@@ -410,24 +289,6 @@ class TestColumnArrays:
 # The 12-item catalog of the seed-0 lp-plan benchmark workload (catalog02).
 LP_PLAN_TWELVE = [0.753921, -1.176189, 0.543987, -1.670006, 0.278739, 2.120124,
                   -0.963019, 2.451531, -0.232589, 2.800445, 1.520994, 3.297614]
-
-
-def scalar_columns(cat, masks):
-    """Demands and revenues of each mask from the scalar _solve_outcome."""
-    demands = np.zeros((len(cat), len(masks)))
-    revenues = np.empty(len(masks))
-    for j, mask in enumerate(masks):
-        members = tuple(i for i in range(len(cat)) if mask >> i & 1)
-        out = _solve_outcome(cat, members)
-        demands[members, j] = out.demands
-        revenues[j] = out.total_revenue
-    return demands, revenues
-
-
-def assert_same_bits(a, b):
-    """Equal as int64 views, so the sign of zero counts."""
-    assert a.shape == b.shape
-    assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 def assert_kernel_matches_scalar(qualities, masks=None):
@@ -706,7 +567,6 @@ class TestLpPlanSolves:
 
     def test_objectives_match_highs(self):
         hypothesis = pytest.importorskip("hypothesis")
-        optimize = pytest.importorskip("scipy.optimize")
         st = hypothesis.strategies
 
         @hypothesis.settings(max_examples=25, deadline=None, derandomize=True)
@@ -727,14 +587,7 @@ class TestLpPlanSolves:
             for sol, values in ((solve_opt(catalog, buyers), cols.revenues),
                                 (solve_opt_fixed_rev(catalog, buyers, r), fixed)):
                 rows, rhs, c = lp_of(catalog, buyers, values)
-                # At its default 1e-7 feasibility tolerances HiGHS can stop
-                # at a vertex 1e-9 short of the optimum, as on qualities
-                # [0, 0, 0, 1e-7]; the oracle must be finer than the check.
-                highs = optimize.linprog(
-                    -c, A_ub=rows, b_ub=rhs, bounds=(0, None), method="highs",
-                    options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10})
-                assert highs.status == 0
-                assert sol.objective == pytest.approx(-highs.fun, rel=1e-9, abs=1e-12)
+                assert sol.objective == pytest.approx(highs_maximum(rows, rhs, c), rel=1e-9, abs=1e-12)
                 res = simplex_solve(rows, rhs, c)
                 assert res.objective == sol.objective
                 assert_certified(rows, rhs, c, res)
@@ -834,44 +687,17 @@ class TestFixedRevenue:
                 solve_opt_fixed_rev(ItemCatalog([1.0, 2.0], [1, 1]), 3, r)
 
 
-def expanded_opt(catalog, m):
-    """Time-expanded LP with per-buyer simplex rows, solved explicitly.
-
-    Oracle for the homogeneous collapse: variables y^t(S) for every buyer t
-    and nonempty S; the empty assortment makes the per-t equality rows
-    equivalent to <= 1 rows.
-    """
-    cols = enumerate_columns(catalog).columns
-    n = len(catalog)
-    k = len(cols)
-    rows = np.zeros((n + m, m * k))
-    values = np.zeros(m * k)
-    for t in range(m):
-        for j, col in enumerate(cols):
-            jj = t * k + j
-            values[jj] = col.revenue
-            rows[n + t, jj] = 1.0
-            for i, q in zip(col.members, col.demands):
-                rows[i, jj] = q
-    rhs = np.array(list(catalog.inventories) + [1.0] * m, dtype=float)
-    return simplex_solve(rows, rhs, values).objective
-
-
 class TestPivotTolerance:
     @pytest.mark.xfail(strict=True, raises=AssertionError,
                        reason="the entering test reads reduced costs against an absolute "
                        "1e-9, so an LP whose values all lie below it reports 0.0")
     def test_values_below_the_pivot_tolerance(self):
-        optimize = pytest.importorskip("scipy.optimize")
         catalog = ItemCatalog([-0.7877911036727456, 1e-13, 2.323082446794098], [1, 1, 1])
         sol = solve_opt_fixed_rev(catalog, 1, [2e-11] * 3)
         values = 2e-11 * enumerate_columns(catalog).demands.sum(axis=0)
-        rows, rhs, c = lp_of(catalog, 1, values)
-        highs = optimize.linprog(-c, A_ub=rows, b_ub=rhs, bounds=(0, None), method="highs",
-                                 options={"primal_feasibility_tolerance": 1e-10,
-                                          "dual_feasibility_tolerance": 1e-10})
-        assert highs.status == 0 and -highs.fun > 1e-11
-        assert sol.objective == pytest.approx(-highs.fun, rel=1e-6)
+        highs = highs_maximum(*lp_of(catalog, 1, values))
+        assert highs > 1e-11
+        assert sol.objective == pytest.approx(highs, rel=1e-6)
 
 
 class TestCollapse:
@@ -885,46 +711,16 @@ class TestCollapse:
             assert collapsed == pytest.approx(expanded_opt(cat, m), abs=1e-7)
 
 
-def impossibility_lp(growth, horizon):
-    """The LP of the best ratio any online rule guarantees on the first H buyers.
-
-    Over (y_1..y_H, c), with y_t the chance the unit sells to buyer t and
-    q_t, r_t buyer t's solo demand and revenue on adversarial_instance:
-    maximise c subject to y_t + q_t * sum_{s<t} y_s <= q_t for each t (the
-    unit is still there with chance 1 - sum_{s<t} y_s) and
-    c - sum_{t<=T} (1 + r_t) / g^T * y_t <= 0 for each T (each prefix earns
-    c times its hindsight value g^T; dividing by g^T keeps the rows scaled).
-    """
-    inst = adversarial_instance(growth, horizon)
-    q = [inst.solo_demand(t) for t in range(1, horizon + 1)]
-    rows = np.zeros((2 * horizon, horizon + 1))
-    for t in range(horizon):
-        rows[t, :t] = q[t]
-        rows[t, t] = 1.0
-        rows[horizon + t, : t + 1] = [
-            -(1.0 + inst.solo_revenue(s + 1)) / growth ** (t + 1) for s in range(t + 1)
-        ]
-        rows[horizon + t, horizon] = 1.0
-    objective = np.zeros(horizon + 1)
-    objective[horizon] = 1.0
-    return inst, rows, np.array(q + [0.0] * horizon), objective
-
-
 class TestImpossibilityCertificate:
     @pytest.mark.parametrize("growth", [2.0, 3.0, 5.0, 10.0])
     def test_best_online_ratio_decays_like_one_over_horizon(self, growth):
         # c*(H) is the best ratio an online rule can guarantee; it falls as
         # g / ((g - 1) H), so no rule has a constant ratio.
-        optimize = pytest.importorskip("scipy.optimize")
         for horizon in (4, 8, 16, 32):
             inst, *lp = impossibility_lp(growth, horizon)
             res = simplex_solve(*lp)
             assert_certified(*lp, res)
-            rows, rhs, objective = lp
-            highs = optimize.linprog(-objective, A_ub=rows, b_ub=rhs, bounds=(0, None),
-                                     method="highs")
-            assert highs.status == 0
-            assert res.objective == pytest.approx(-highs.fun, rel=1e-9)
+            assert res.objective == pytest.approx(highs_maximum(*lp), rel=1e-9)
             assert res.objective >= always_offer_ratio(inst, horizon)
             assert simplex_solve(*impossibility_lp(growth, 2 * horizon)[1:]).objective < res.objective
             scaled = horizon * res.objective

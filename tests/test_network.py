@@ -6,14 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from mnlmarkets.equilibrium import (
-    DomainError,
-    ItemCatalog,
-    SolverError,
-    _newton,
-    equilibrium_outcome,
-    mnl_demand,
-)
+from mnlmarkets.equilibrium import DomainError, SolverError, mnl_demand
 from mnlmarkets.network import (
     BipartiteMarket,
     _best_response_gains,
@@ -27,96 +20,8 @@ from mnlmarkets.network import (
     solve_network_equilibrium,
     verify_equilibrium,
 )
-
-
-def reference_rival_logits(market, prices, i):
-    """The full-width rival logits, kept as an oracle: every seller's
-    log-denominator over every buyer, then i's visible columns."""
-    rivals = market.visibility.copy()
-    rivals[i] = False
-    p = np.asarray(prices, dtype=float)
-    util = np.where(rivals, market.theta - p[:, None], -np.inf)
-    shift = np.maximum(0.0, util.max(axis=0, initial=-np.inf))
-    weights = np.exp(util - shift)
-    log_base = shift + np.log(np.exp(-shift) + weights.sum(axis=0))
-    vis_i = market.visibility[i]
-    return market.theta[i, vis_i] - log_base[vis_i]
-
-
-def reference_best_response(market, prices, i):
-    """The best response with whole-array numpy per share vector, kept as an
-    oracle; returns (price, arm) with arm "stationary", "capacity" or "none".
-
-    seller_best_response must give the same price bit for bit, or raise the
-    same SolverError.
-    """
-    z = reference_rival_logits(market, prices, i)
-    if z.size == 0:
-        return 0.0, "none"
-    box = market.price_box()
-    cap = float(market.capacities[i])
-
-    def shares(p):
-        return _sigmoid(z - p)
-
-    def marginal(p, q):
-        return float((q * (1.0 - p * (1.0 - q))).sum())
-
-    def minus_marginal(p):
-        q = shares(p)
-        slope = float(((q * q - q) * (2.0 + 2.0 * p * q - p)).sum())
-        return -marginal(p, q), -slope
-
-    if marginal(box, shares(box)) > 0.0:
-        raise SolverError(f"stationary price of seller {i} exceeds the search box")
-    p = _newton(minus_marginal, min(2.0, box), 0.0, box, 1e-12, None)
-    demand = float(shares(p).sum())
-    if demand <= cap:
-        return p, "stationary"
-    lo, hi = p, box
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        q = shares(mid)
-        d = float(q.sum()) - cap
-        if abs(d) < 1e-12:
-            return mid, "capacity"
-        if d > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        slope = float(-(q * (1.0 - q)).sum())
-        nxt = mid - d / slope
-        if lo < nxt < hi:
-            q = shares(nxt)
-            d = float(q.sum()) - cap
-            if abs(d) < 1e-12:
-                return nxt, "capacity"
-            if d > 0.0:
-                lo = nxt
-            else:
-                hi = nxt
-    return 0.5 * (lo + hi), "capacity"
-
-
-def reference_gains(market, p):
-    """Best-response gains with one full demand solve per utility."""
-    gains = []
-    for i in range(market.sellers):
-        trial = p.copy()
-        trial[i] = seller_best_response(market, p, i)
-        gains.append(seller_utility(market, trial, i) - seller_utility(market, p, i))
-    return gains
-
-
-def bits(values):
-    return np.asarray(values, dtype=float).view(np.int64).tolist()
-
-
-def assert_same_bits(got, want):
-    """Bytes equal, sign of zero included; a NaN may differ only in its sign bit."""
-    nan = np.isnan(want)
-    assert np.array_equal(np.isnan(got), nan)
-    assert got[~nan].tobytes() == want[~nan].tobytes()
+from oracles import (assert_same_bits_except_nan_sign, bits, reference_best_response, reference_gains,
+                     reference_rival_logits, single_buyer_prices)
 
 
 def assert_responds_like_reference(market, prices, i):
@@ -383,7 +288,7 @@ class TestBestResponse:
         special = [0.0, -0.0, np.inf, -np.inf, np.nan, 745.2, -745.2, 800.0, -800.0, 1e-300]
         for z in (rng.normal(0.0, 8.0, 200_001), rng.uniform(-750.0, 750.0, 4097),
                   np.array(special)):
-            assert_same_bits(_sigmoid(z), split_sigmoid(z))
+            assert_same_bits_except_nan_sign(_sigmoid(z), split_sigmoid(z))
 
     def test_shares_kernel_matches_sigmoid_bit_for_bit(self):
         # _shares_into writes _sigmoid's numerator where(x >= 0, 1, e) as
@@ -399,12 +304,12 @@ class TestBestResponse:
             x, e, q = (np.empty_like(z) for _ in range(3))
             xs, es, qs = (np.empty((2, z.size)) for _ in range(3))
             for p in prices:
-                assert_same_bits(_shares_into(z, np.array(p), x, e, q), _sigmoid(z - p))
-                assert_same_bits(_shares_into(z, p, x, e, q), _sigmoid(z - p))
+                assert_same_bits_except_nan_sign(_shares_into(z, np.array(p), x, e, q), _sigmoid(z - p))
+                assert_same_bits_except_nan_sign(_shares_into(z, p, x, e, q), _sigmoid(z - p))
             for a, b in zip(prices, prices[1:] + prices[:1]):
                 got = _shares_into(z, np.array([[a], [b]]), xs, es, qs)
-                assert_same_bits(got[0], _sigmoid(z - a))
-                assert_same_bits(got[1], _sigmoid(z - b))
+                assert_same_bits_except_nan_sign(got[0], _sigmoid(z - a))
+                assert_same_bits_except_nan_sign(got[1], _sigmoid(z - b))
 
     def test_demand_monotone_in_own_price(self):
         mkt = BipartiteMarket([[2.0, 1.0], [1.5, 0.5]], capacities=[1, 1])
@@ -613,13 +518,7 @@ class TestSolveEquilibrium:
             mkt = single_buyer_market(thetas, capacities=[1] * n)
             rep = solve_network_equilibrium(mkt)
             assert rep.converged
-            cat = ItemCatalog(thetas, [1] * n)
-            out = equilibrium_outcome(cat, tuple(range(n)))
-            # Map catalog order back to seller order.
-            want = [0.0] * n
-            for pos, price in enumerate(out.prices):
-                want[cat.order[pos]] = price
-            assert list(rep.prices) == pytest.approx(want, abs=1e-6)
+            assert list(rep.prices) == pytest.approx(single_buyer_prices(thetas), abs=1e-6)
 
     def test_symmetric_market_symmetric_prices(self):
         mkt = BipartiteMarket(np.full((2, 2), 1.5), capacities=[2, 2])

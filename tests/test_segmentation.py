@@ -1,6 +1,5 @@
 """Tests for flow-based segmentation against brute-force assignment oracles."""
 
-import itertools
 import math
 import warnings
 
@@ -22,45 +21,10 @@ from mnlmarkets.segmentation import (
     segment_market,
     unit_price_weight,
 )
+from oracles import (brute_force_assignment, fixed_point_weights, networkx_matching,
+                     networkx_min_cost_flow, scipy_assignment)
 
 E = math.e
-
-
-def brute_force_assignment(market):
-    """Max total fixed-point weight among maximum-cardinality assignments.
-
-    Enumerates every buyer -> (seller | none) map that respects visibility
-    and capacities; mirrors the flow semantics, which fills as many of the
-    min(m, sum c) units as visibility allows before maximizing weight.
-    """
-    m, n = market.buyers, market.sellers
-    scaled = np.zeros((n, m), dtype=np.int64)
-    for i in range(n):
-        for k in range(m):
-            if market.visibility[i, k]:
-                scaled[i, k] = round(WEIGHT_SCALE * unit_price_weight(float(market.theta[i, k])))
-    options = [
-        [None] + [i for i in range(n) if market.visibility[i, k]] for k in range(m)
-    ]
-    best_by_count: dict[int, int] = {}
-    for combo in itertools.product(*options):
-        used = [0] * n
-        weight = 0
-        count = 0
-        feasible = True
-        for k, i in enumerate(combo):
-            if i is None:
-                continue
-            used[i] += 1
-            if used[i] > market.capacities[i]:
-                feasible = False
-                break
-            weight += int(scaled[i, k])
-            count += 1
-        if feasible:
-            best_by_count[count] = max(best_by_count.get(count, -1), weight)
-    max_count = max(best_by_count)
-    return max_count, best_by_count[max_count]
 
 
 class TestBuildNetwork:
@@ -354,73 +318,6 @@ class TestCompare:
         mkt = BipartiteMarket(np.ones((2, 3)), capacities=[2, 2])
         cmp = compare_segmented_vs_whole(mkt)
         assert cmp.segmented_revenue > 0 and cmp.whole_revenue > 0
-
-
-def fixed_point_weights(market):
-    """Fixed-point weight of every visible pair, computed from theta alone."""
-    weights = np.zeros(market.theta.shape, dtype=np.int64)
-    for i, k in zip(*np.nonzero(market.visibility)):
-        weights[i, k] = round(WEIGHT_SCALE * unit_price_weight(float(market.theta[i, k])))
-    return weights
-
-
-def seller_slots(market):
-    """One slot per unit of capacity a seller could ever fill."""
-    visible = market.visibility.sum(axis=1)
-    return np.repeat(
-        np.arange(market.sellers), np.minimum(market.capacities, visible)
-    )
-
-
-def scipy_assignment(market):
-    """(count, weight) from linear_sum_assignment on buyers x seller slots.
-
-    A visible pair scores BIG plus its weight, an invisible one 0. BIG
-    exceeds any total weight, so one more visible pair always wins: the
-    optimum has maximum cardinality first and maximum weight second. All
-    scores are integers far below 2**53, so float64 sums are exact.
-    """
-    optimize = pytest.importorskip("scipy.optimize")
-    weights = fixed_point_weights(market)
-    slots = seller_slots(market)
-    big = WEIGHT_SCALE * (market.buyers + 1)
-    visible = market.visibility[slots].T
-    score = np.where(visible, big + weights[slots].T, 0).astype(float)
-    buyers, cols = optimize.linear_sum_assignment(score, maximize=True)
-    used = visible[buyers, cols]
-    sellers = slots[cols[used]]
-    return int(used.sum()), int(weights[sellers, buyers[used]].sum())
-
-
-def networkx_matching(market):
-    """(count, weight) from max_weight_matching(maxcardinality=True) on the
-    buyer / seller-slot graph; integer weights keep networkx exact."""
-    nx = pytest.importorskip("networkx")
-    weights = fixed_point_weights(market)
-    graph = nx.Graph()
-    for slot, i in enumerate(seller_slots(market)):
-        for k in np.flatnonzero(market.visibility[i]):
-            graph.add_edge(("buyer", int(k)), ("slot", slot), weight=int(weights[i, k]))
-    matching = nx.max_weight_matching(graph, maxcardinality=True)
-    return len(matching), sum(graph[u][v]["weight"] for u, v in matching)
-
-
-def networkx_min_cost_flow(market):
-    """(count, weight) from networkx's max_flow_min_cost on the capacitated
-    source -> buyer -> seller -> sink graph with negated integer weights."""
-    nx = pytest.importorskip("networkx")
-    weights = fixed_point_weights(market)
-    graph = nx.DiGraph()
-    for k in range(market.buyers):
-        graph.add_edge("source", ("buyer", k), capacity=1, weight=0)
-    for i in range(market.sellers):
-        graph.add_edge(("seller", i), "sink", capacity=market.capacities[i], weight=0)
-        for k in np.flatnonzero(market.visibility[i]):
-            graph.add_edge(
-                ("buyer", int(k)), ("seller", i), capacity=1, weight=-int(weights[i, k])
-            )
-    flow = nx.max_flow_min_cost(graph, "source", "sink")
-    return sum(flow["source"].values()), -nx.cost_of_flow(graph, flow)
 
 
 def oracle_markets():

@@ -31,6 +31,7 @@ from mnlmarkets.simulate import (
 )
 from mnlmarkets import simulate
 from mnlmarkets.lp import solve_opt
+from oracles import bits, reference_row, scalar_revenues
 
 E = math.e
 
@@ -185,14 +186,6 @@ class TestEstimateRatio:
         for m, replications in ((2**62, 1), (int(1e300), 1000), (0, 2**62), (3, int(1e300))):
             with pytest.raises(DomainError, match="numpy can address"):
                 estimate_ratio("greedy", OnlineInstance(cat, m, 0.5), replications, seed=0)
-
-
-def scalar_revenues(name, inst, replications, seed):
-    """The reference: one run_episode per replication."""
-    return [
-        run_episode(POLICIES[name], inst, episode_rng(seed, rep)).revenue
-        for rep in range(replications)
-    ]
 
 
 def lockstep_revenues(inst, replications, seed, names=tuple(POLICIES)):
@@ -365,20 +358,6 @@ class TestInStockMask:
             lockstep_revenues(inst, replications, seed)
             expected += len(POLICIES) * inst.m * replications
         assert sum(checked_steps) == expected
-
-
-def reference_row(name, catalog, threshold, m, replications, seed):
-    """(mean, se, opt, ratio) of one row, computed from run_episode's revenues."""
-    revenues = np.array(scalar_revenues(name, OnlineInstance(catalog, m, threshold), replications, seed))
-    mean = float(revenues.mean())
-    se = float(revenues.std(ddof=1) / math.sqrt(replications)) if replications > 1 else 0.0
-    opt = solve_opt(catalog, m).objective if m >= 1 else 0.0
-    return (mean, se, opt, mean / opt if opt > 0 else math.nan)
-
-
-def bits(rows):
-    """The float64 bits of each value, so that == also pins NaN and -0.0."""
-    return np.array(rows, dtype=np.float64).view(np.int64).tolist()
 
 
 def estimate_rows(estimates):
