@@ -32,7 +32,7 @@ from .equilibrium import (
 from .lp import enumerate_columns, solve_opt, solve_opt_fixed_rev
 from .network import BipartiteMarket, check_consistency, solve_network_equilibrium
 from .segmentation import compare_segmented_vs_whole, segment_market
-from .simulate import POLICIES, adversarial_instance, always_offer_ratio, estimate_ratios, hybrid_ratio_bound
+from .simulate import POLICIES, adversarial_instance, always_offer_ratios, estimate_ratios, hybrid_ratio_bound
 
 SCHEMA_VERSION = 1
 SIMULATE_CSV_COLUMNS = (
@@ -352,8 +352,8 @@ def cmd_adversary_demo(args) -> int:
             f" demand={fmt(inst.solo_demand(t))}"
         )
     lines.append("offer-while-in-stock rule vs hindsight (ratio decays with the horizon):")
-    for upto in range(1, inst.horizon + 1):
-        lines.append(f"  horizon={upto}: ratio={fmt(always_offer_ratio(inst, upto))}")
+    for upto, ratio in enumerate(always_offer_ratios(inst, inst.horizon), start=1):
+        lines.append(f"  horizon={upto}: ratio={fmt(ratio)}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -30,6 +30,10 @@ Bland's anti-cycling rule. The tableau has n + 2 rows but one column per
 assortment, so a pivot costs its row updates over the full width plus a
 fixed interpreter cost that the loop keeps to a few numpy calls. A rule
 with fewer pivots would round differently, and the reported bits would change.
+A reduced cost enters below -1e-9 * min(1, max|c|): the entering tolerance
+scales with an objective whose entries all lie below 1, so an LP of small
+values is not stopped at 0.0 before its first pivot, and from max|c| = 1 up
+it is the absolute 1e-9. The ratio test's 1e-9 does not scale.
 """
 
 from __future__ import annotations
@@ -184,7 +188,7 @@ def simplex_solve(rows: np.ndarray, rhs: np.ndarray, objective: np.ndarray) -> S
     red, values, tableau_rows = t[-1, :-1], t[:m, -1], list(t)
     product = np.empty(n + m + 1)
     entering = np.empty(n + m, dtype=bool)
-    below = np.array(-_PIVOT_TOL)
+    below = np.array(-_PIVOT_TOL * min(1.0, float(np.abs(c).max(initial=0.0))))
     pivot_col = np.empty(m + 1)
     factors = [pivot_col[k, ...] for k in range(m + 1)]  # 0-d views
 

@@ -604,12 +604,23 @@ def always_offer_ratio(instance: HeterogeneousInstance, upto: int) -> float:
     against the clairvoyant value r_upto (save the unit for the last,
     richest buyer). Decays geometrically in the horizon.
     """
+    return always_offer_ratios(instance, upto)[-1]
+
+
+def always_offer_ratios(instance: HeterogeneousInstance, upto: int) -> list[float]:
+    """always_offer_ratio of every prefix 1..upto, in order, from one running sum.
+
+    Prefix t's expected revenue is the sum after its t-th term, so the
+    whole list costs O(upto), not O(upto^2) calls of always_offer_ratio.
+    """
     if not 1 <= upto <= instance.horizon:
         raise DomainError("prefix length out of range")
+    ratios = []
     expected = 0.0
     available = 1.0
     for t in range(1, upto + 1):
         q = instance.solo_demand(t)
         expected += available * q * (1.0 + instance.solo_revenue(t))
         available *= 1.0 - q
-    return expected / instance.target_revenue(upto)
+        ratios.append(expected / instance.target_revenue(t))
+    return ratios

@@ -119,12 +119,13 @@ def reference_simplex(rows, rhs, objective):
     t[:m, -1] = b
     t[-1, :n] = -c
     basis = list(range(n, n + m))
+    entering_tol = 1e-9 * min(1.0, float(np.abs(c).max(initial=0.0)))
 
     try:
         with np.errstate(over="raise", invalid="raise"):
             for iteration in range(100_000):
                 red = t[-1, :-1]
-                entering_candidates = np.nonzero(red < -1e-9)[0]
+                entering_candidates = np.nonzero(red < -entering_tol)[0]
                 if entering_candidates.size == 0:
                     break
                 j = int(entering_candidates[0])  # Bland: lowest index enters
@@ -179,8 +180,9 @@ def lp_certificate(a, b, c, res):
 def assert_certified(a, b, c, res):
     """The certificate holds to 1e-9 relative to the LP's scale.
 
-    1e-9 is the simplex's pivot tolerance: reduced costs above -1e-9 count as
-    optimal, and entries at or below 1e-9 are not pivoted on.
+    1e-9 is the simplex's pivot tolerance: reduced costs above
+    -1e-9 * min(1, max|c|) count as optimal, and entries at or below 1e-9
+    are not pivoted on.
     """
     cert = lp_certificate(a, b, c, res)
     scale = max(1.0, abs(res.objective), float(np.abs(b).max()))

@@ -359,7 +359,7 @@ class TestBatchedKernel:
         assert_kernel_matches_scalar(qualities)
 
     def test_mask_subsets_and_block_boundaries(self, monkeypatch):
-        # 1023 and 2047 masks are not multiples of the 512-mask block.
+        # 1023 and 2047 masks are not multiples of the 1,024-mask block.
         assert_kernel_matches_scalar(np.linspace(3.1, -1.7, 10).tolist())
         # A lone mask makes one-column sum blocks, which numpy would sum
         # pairwise rather than row by row.
@@ -526,7 +526,7 @@ class TestBatchedKernel:
         assert sizes == [block] * (size // block) + [size % block]
 
     def test_twelve_item_enumeration_peaks_under_2_mb(self):
-        # The result arrays are 0.43 MB; 512-mask blocks bound the rest.
+        # The result arrays are 0.43 MB; 1,024-mask blocks bound the rest.
         cat = ItemCatalog(np.linspace(3.4, -1.8, 12), [3] * 12)
         gc.collect()
         tracemalloc.start()
@@ -688,9 +688,6 @@ class TestFixedRevenue:
 
 
 class TestPivotTolerance:
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="the entering test reads reduced costs against an absolute "
-                       "1e-9, so an LP whose values all lie below it reports 0.0")
     def test_values_below_the_pivot_tolerance(self):
         catalog = ItemCatalog([-0.7877911036727456, 1e-13, 2.323082446794098], [1, 1, 1])
         sol = solve_opt_fixed_rev(catalog, 1, [2e-11] * 3)
@@ -698,6 +695,31 @@ class TestPivotTolerance:
         highs = highs_maximum(*lp_of(catalog, 1, values))
         assert highs > 1e-11
         assert sol.objective == pytest.approx(highs, rel=1e-6)
+
+    def test_small_fixed_revenues_match_highs(self):
+        # 300 fixed-revenue LPs with n <= 7 items and m < 200 buyers: 40% pay
+        # r_i = 10^U(-16, -6), 30% a U(0, 3) scaled by one 10^U(-12, 0), 30%
+        # a U(0, 3), and 20% have one item of quality 1e-13. Against an
+        # absolute entering tolerance of 1e-9, 119 of them stopped short of
+        # the optimum, 68 at 0.0.
+        rng = np.random.default_rng(1)
+        for _ in range(300):
+            n, m = int(rng.integers(1, 8)), int(rng.integers(1, 200))
+            qualities = rng.uniform(-2.0, 3.5, n)
+            if rng.random() < 0.2:
+                qualities[rng.integers(n)] = 1e-13
+            catalog = ItemCatalog(qualities, rng.integers(1, 20, n))
+            kind = rng.random()
+            if kind < 0.4:
+                r = 10.0 ** rng.uniform(-16.0, -6.0, n)
+            elif kind < 0.7:
+                r = rng.uniform(0.0, 3.0, n) * 10.0 ** rng.uniform(-12.0, 0.0)
+            else:
+                r = rng.uniform(0.0, 3.0, n)
+            sol = solve_opt_fixed_rev(catalog, m, r.tolist())
+            values = r @ enumerate_columns(catalog).demands
+            assert sol.objective == pytest.approx(highs_maximum(*lp_of(catalog, m, values)),
+                                                  rel=1e-9, abs=1e-12)
 
 
 class TestCollapse:

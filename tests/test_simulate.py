@@ -15,6 +15,7 @@ from mnlmarkets.simulate import (
     POLICIES,
     adversarial_instance,
     always_offer_ratio,
+    always_offer_ratios,
     episode_rng,
     episode_uniforms,
     estimate_ratio,
@@ -595,6 +596,13 @@ class TestAdversarialInstance:
             adversarial_instance(10.0, 10**400)
         with pytest.raises(DomainError):
             adversarial_instance(1.0, 5)
+
+    def test_prefix_ratios_equal_each_prefix_call(self):
+        # adversary-demo reads every prefix ratio from one running sum.
+        for growth in (1.0000001, 3.0):
+            inst = adversarial_instance(growth, 50)
+            want = [always_offer_ratio(inst, upto) for upto in range(1, 51)]
+            assert bits(always_offer_ratios(inst, 50)) == bits(want)
 
     def test_fixed_rule_ratio_decays(self):
         inst = adversarial_instance(4.0, 10)
