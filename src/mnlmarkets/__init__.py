@@ -1,135 +1,58 @@
-"""Bertrand-MNL markets: equilibria, online assortment policies, segmentation."""
+"""Bertrand-MNL markets: equilibria, online assortment policies, segmentation.
 
-from .equilibrium import (
-    DomainError,
-    EquilibriumOutcome,
-    ItemCatalog,
-    SolverError,
-    best_response_price,
-    equilibrium_outcome,
-    mnl_demand,
-    perishable_outcome,
-    price_game_potential,
-    quality_for_target_revenue,
-    solo_revenue_for_quality,
-    solve_no_purchase,
-    solve_share,
-)
-from .lp import (
-    ColumnSet,
-    LpSolution,
-    enumerate_columns,
-    simplex_solve,
-    solve_opt,
-    solve_opt_fixed_rev,
-)
-from .network import (
-    BipartiteMarket,
-    ConsistencyReport,
-    EquilibriumReport,
-    VerificationReport,
-    check_consistency,
-    network_demand,
-    seller_best_response,
-    seller_utility,
-    solve_network_equilibrium,
-    verify_equilibrium,
-)
-from .policies import (
-    OnlineInstance,
-    classify_heavy,
-    exponential_weight,
-    greedy_all_next,
-    hybrid_next,
-    modified_hybrid_next,
-    solo_demands,
-)
-from .segmentation import (
-    FlowNetwork,
-    Pool,
-    Segmentation,
-    build_flow_network,
-    compare_segmented_vs_whole,
-    equilibrate_pool,
-    max_weight_flow,
-    pools_from_flow,
-    segment_market,
-)
-from .simulate import (
-    POLICIES,
-    EpisodeResult,
-    HeterogeneousInstance,
-    RatioEstimate,
-    adversarial_instance,
-    always_offer_ratio,
-    episode_rng,
-    estimate_ratio,
-    estimate_ratios,
-    hybrid_ratio_bound,
-    run_episode,
-    sample_choice,
-    threshold_headroom,
-)
+Each public name is listed once, in _EXPORTS, with the submodule that
+defines it. A submodule is imported the first time one of its names is
+read from the package (PEP 562), so ``import mnlmarkets`` loads none of them.
+"""
 
-__all__ = [
-    "BipartiteMarket",
-    "ColumnSet",
-    "ConsistencyReport",
-    "DomainError",
-    "EpisodeResult",
-    "EquilibriumOutcome",
-    "EquilibriumReport",
-    "FlowNetwork",
-    "HeterogeneousInstance",
-    "ItemCatalog",
-    "LpSolution",
-    "OnlineInstance",
-    "POLICIES",
-    "Pool",
-    "RatioEstimate",
-    "Segmentation",
-    "SolverError",
-    "VerificationReport",
-    "adversarial_instance",
-    "always_offer_ratio",
-    "best_response_price",
-    "build_flow_network",
-    "check_consistency",
-    "classify_heavy",
-    "compare_segmented_vs_whole",
-    "enumerate_columns",
-    "episode_rng",
-    "equilibrate_pool",
-    "equilibrium_outcome",
-    "estimate_ratio",
-    "estimate_ratios",
-    "exponential_weight",
-    "greedy_all_next",
-    "hybrid_next",
-    "hybrid_ratio_bound",
-    "max_weight_flow",
-    "mnl_demand",
-    "modified_hybrid_next",
-    "network_demand",
-    "perishable_outcome",
-    "pools_from_flow",
-    "price_game_potential",
-    "quality_for_target_revenue",
-    "run_episode",
-    "sample_choice",
-    "segment_market",
-    "seller_best_response",
-    "seller_utility",
-    "simplex_solve",
-    "solo_demands",
-    "solo_revenue_for_quality",
-    "solve_network_equilibrium",
-    "solve_no_purchase",
-    "solve_opt",
-    "solve_opt_fixed_rev",
-    "solve_share",
-    "threshold_headroom",
-    "verify_equilibrium",
-]
+import importlib
+
+_EXPORTS = {
+    **dict.fromkeys([
+        "DomainError", "EquilibriumOutcome", "ItemCatalog", "SolverError", "best_response_price",
+        "equilibrium_outcome", "mnl_demand", "perishable_outcome", "price_game_potential",
+        "quality_for_target_revenue", "solo_revenue_for_quality", "solve_no_purchase", "solve_share",
+    ], "equilibrium"),
+    **dict.fromkeys([
+        "ColumnSet", "LpSolution", "enumerate_columns", "simplex_solve", "solve_opt", "solve_opt_fixed_rev",
+    ], "lp"),
+    **dict.fromkeys([
+        "BipartiteMarket", "ConsistencyReport", "EquilibriumReport", "VerificationReport",
+        "check_consistency", "network_demand", "seller_best_response", "seller_utility",
+        "solve_network_equilibrium", "verify_equilibrium",
+    ], "network"),
+    **dict.fromkeys([
+        "OnlineInstance", "classify_heavy", "exponential_weight", "greedy_all_next", "hybrid_next",
+        "modified_hybrid_next", "solo_demands",
+    ], "policies"),
+    **dict.fromkeys([
+        "FlowNetwork", "Pool", "Segmentation", "build_flow_network", "compare_segmented_vs_whole",
+        "equilibrate_pool", "max_weight_flow", "pools_from_flow", "segment_market",
+    ], "segmentation"),
+    **dict.fromkeys([
+        "POLICIES", "EpisodeResult", "HeterogeneousInstance", "RatioEstimate", "adversarial_instance",
+        "always_offer_ratio", "episode_rng", "estimate_ratio", "estimate_ratios", "hybrid_ratio_bound",
+        "run_episode", "sample_choice", "threshold_headroom",
+    ], "simulate"),
+}
+_SUBMODULES = frozenset(_EXPORTS.values()) | {"cli"}
+
+__all__ = sorted(_EXPORTS)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    """Import the submodule behind a public or submodule name on first use and keep the result."""
+    if name in _EXPORTS:
+        value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    elif name in _SUBMODULES:
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

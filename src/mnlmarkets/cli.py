@@ -8,7 +8,8 @@ digits and a dot decimal, JSON keys are sorted, and the per-replication RNG
 streams fix every replication's revenue; ``simulate --workers`` is accepted
 and has no effect.
 
-Exit codes: 0 success, 2 config or schema problem, 3 numeric or I/O failure.
+Exit codes: 0 success, 2 config or schema problem, 3 numeric, memory or I/O
+failure.
 """
 
 from __future__ import annotations
@@ -426,7 +427,7 @@ def main(argv=None) -> int:
     except (SchemaError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SolverError, OverflowError, OSError) as exc:
+    except (SolverError, OverflowError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -16,8 +16,7 @@ variant replaces R(S) by sum_i r_i q_i(S).
 
 The columns of a catalog are stored as one (n, 2^n - 1) demand matrix and
 one revenue vector, in bitmask order: the LP, the CLI and the lockstep
-simulation engine all read these arrays, and ``ColumnSet.columns`` builds a
-Column record only when one is indexed. Catalogs of _BATCH_MIN_ITEMS items
+simulation engine all read these arrays. Catalogs of _BATCH_MIN_ITEMS items
 or more are solved by the batched kernel ``equilibrium._solve_masks``, which
 repeats the scalar solver's iterates for every mask (numpy for the control
 flow and the exact + - * /, and libm's own exp, log and log1p through
@@ -57,43 +56,6 @@ _BATCH_MIN_ITEMS = 6
 _PIVOT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class Column:
-    """One assortment column: members, their demands, and the revenue."""
-
-    members: tuple[int, ...]
-    demands: tuple[float, ...]
-    revenue: float
-
-    def fixed_revenue(self, r: Sequence[float]) -> float:
-        """Column value when item i pays a constant r_i per sale.
-
-        Adds r_i * q_i in member order from 0.0, the order in which
-        solve_opt_fixed_rev sums the same values over whole demand rows.
-        """
-        total = 0.0
-        for i, q in zip(self.members, self.demands):
-            total += r[i] * q
-        return total
-
-
-class _ColumnView(Sequence):
-    """Read-only sequence of the Column records of a ColumnSet, each built on access."""
-
-    def __init__(self, columns: ColumnSet):
-        self._columns = columns
-
-    def __len__(self) -> int:
-        return self._columns.revenues.size
-
-    def __getitem__(self, j: int) -> Column:
-        j = range(len(self))[j]  # bounds-checked; negative indices count from the end
-        cols = self._columns
-        members = cols.members(j)
-        return Column(members=members, demands=tuple(cols.demands[members, j].tolist()),
-                      revenue=float(cols.revenues[j]))
-
-
 @dataclass(frozen=True, eq=False)
 class ColumnSet:
     """All 2^n - 1 nonempty assortment columns of a catalog, as two arrays.
@@ -124,9 +86,9 @@ class ColumnSet:
         return tuple(i for i in range(len(self.catalog)) if mask >> i & 1)
 
     @property
-    def columns(self) -> Sequence[Column]:
-        """The columns as Column records, built one at a time on access."""
-        return _ColumnView(self)
+    def columns(self) -> np.ndarray:
+        """The read-only (2^n - 1, n) view ``demands.T``: row j holds column j's demands."""
+        return self.demands.T
 
 
 @dataclass(frozen=True)
@@ -309,7 +271,8 @@ def solve_opt_fixed_rev(catalog: ItemCatalog, m: int, r: Sequence[float]) -> LpS
     """Clairvoyant value when item i earns a constant r_i per sale.
 
     Adds r_i * q_i(S) over whole demand rows from 0.0: a non-member's 0.0
-    demand adds a signed zero, so each value has Column.fixed_revenue's bits.
+    demand adds a signed zero, so each value has the bits of the sum over
+    the members of S alone, in member order.
     Each r_i must be finite, which also keeps inf * 0.0 out of those rows.
     """
     if len(r) != len(catalog):

@@ -218,20 +218,30 @@ def expanded_opt(catalog, m):
     solves with lp.simplex_solve itself, so it checks the collapse, not the
     solver.
     """
-    cols = enumerate_columns(catalog).columns
-    n = len(catalog)
-    k = len(cols)
+    cols = enumerate_columns(catalog)
+    n, k = cols.demands.shape
     rows = np.zeros((n + m, m * k))
-    values = np.zeros(m * k)
     for t in range(m):
-        for j, col in enumerate(cols):
-            jj = t * k + j
-            values[jj] = col.revenue
-            rows[n + t, jj] = 1.0
-            for i, q in zip(col.members, col.demands):
-                rows[i, jj] = q
+        rows[:n, t * k : (t + 1) * k] = cols.demands
+        rows[n + t, t * k : (t + 1) * k] = 1.0
     rhs = np.array(list(catalog.inventories) + [1.0] * m, dtype=float)
-    return simplex_solve(rows, rhs, values).objective
+    return simplex_solve(rows, rhs, np.tile(cols.revenues, m)).objective
+
+
+def member_order_fixed_revenues(cols, r):
+    """Each column's value when item i pays a constant r_i per sale.
+
+    Adds r_i * q_i(S) over the members of S alone, in member order from 0.0:
+    the reference for lp.solve_opt_fixed_rev, which sums the same products
+    over whole demand rows. Shares the column arrays of lp.ColumnSet.
+    """
+    values = np.zeros(cols.revenues.size)
+    for j in range(values.size):
+        total = 0.0
+        for i in cols.members(j):
+            total += r[i] * float(cols.demands[i, j])
+        values[j] = total
+    return values
 
 
 def impossibility_lp(growth, horizon):

@@ -302,6 +302,14 @@ class TestSimulateCommand:
         cfg = self.make_config(tmp_path, **field)
         assert_one_error_line(*run(["simulate", "--config", cfg], capsys))
 
+    def test_unallocatable_uniforms_exit_3(self, tmp_path, capsys):
+        # 4 x 1e15 doubles is addressable, but no allocator can hand it out.
+        cfg = self.make_config(tmp_path, drop=("buyers_sweep",), buyers=1e15, replications=4)
+        code, out, err = run(["simulate", "--config", cfg], capsys)
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("field", [
         {"threshold_sweep": [0.5], "buyers_sweep": [4, 2**62]},
         {"threshold_sweep": [0.5, 0.3], "buyers_sweep": [4, 2**62]},

@@ -26,7 +26,7 @@ from mnlmarkets.lp import (
 )
 from mnlmarkets.simulate import always_offer_ratio
 from oracles import (assert_certified, assert_same_bits, brute_force_lp, expanded_opt, highs_maximum,
-                     impossibility_lp, reference_simplex, scalar_columns)
+                     impossibility_lp, member_order_fixed_revenues, reference_simplex, scalar_columns)
 
 OMEGA = 0.56714329040978387  # solo revenue of a theta=1 item
 R_PAIR = 1.0640048420806135  # total revenue of the theta=(1,2) assortment
@@ -159,26 +159,28 @@ class TestSimplex:
 
 class TestColumns:
     def test_single_item(self):
-        cols = enumerate_columns(ItemCatalog([2.0], [5])).columns
-        assert len(cols) == 1
-        assert cols[0].members == (0,)
-        assert cols[0].demands[0] == pytest.approx(0.5, abs=1e-10)
-        assert cols[0].revenue == pytest.approx(1.0, abs=1e-10)
+        cols = enumerate_columns(ItemCatalog([2.0], [5]))
+        assert cols.revenues.size == 1
+        assert cols.members(0) == (0,)
+        assert cols.demands[0, 0] == pytest.approx(0.5, abs=1e-10)
+        assert cols.revenues[0] == pytest.approx(1.0, abs=1e-10)
 
     def test_pair_revenues(self):
         cat = ItemCatalog([1.0, 2.0], [1, 1])
-        cols = enumerate_columns(cat).columns
-        assert len(cols) == 3
-        revs = sorted(c.revenue for c in cols)
+        revenues = enumerate_columns(cat).revenues
+        assert revenues.size == 3
+        revs = sorted(revenues.tolist())
         assert revs == pytest.approx([OMEGA, 1.0, R_PAIR], abs=1e-9)
 
     def test_columns_match_equilibrium(self):
         rng = np.random.default_rng(29)
         cat = ItemCatalog(rng.uniform(-2, 2, 4), [1, 2, 3, 4])
-        for col in enumerate_columns(cat).columns:
-            out = equilibrium_outcome(cat, col.members)
-            assert col.demands == pytest.approx(out.demands, abs=1e-10)
-            assert col.revenue == pytest.approx(out.total_revenue, abs=1e-10)
+        cols = enumerate_columns(cat)
+        for j in range(cols.revenues.size):
+            members = cols.members(j)
+            out = equilibrium_outcome(cat, members)
+            assert cols.demands[list(members), j].tolist() == pytest.approx(out.demands, abs=1e-10)
+            assert cols.revenues[j] == pytest.approx(out.total_revenue, abs=1e-10)
 
     def test_empty_catalog_impossible(self):
         with pytest.raises(DomainError):
@@ -204,8 +206,6 @@ def assert_columns_equal_outcomes(cat):
         assert cols.members(mask - 1) == members
         assert cols.demands[:, mask - 1].tolist() == want
         assert cols.revenues[mask - 1] == out.total_revenue
-        col = cols.columns[mask - 1]
-        assert (col.members, col.demands, col.revenue) == (members, out.demands, out.total_revenue)
 
 
 class TestColumnArrays:
@@ -237,12 +237,12 @@ class TestColumnArrays:
         for cat, r in inputs:
             cols = enumerate_columns(cat)
             sol = solve_opt_fixed_rev(cat, 17, r)
-            rows = np.vstack([cols.demands, np.ones((1, len(cols.columns)))])
+            rows = np.vstack([cols.demands, np.ones((1, cols.revenues.size))])
             rhs = np.array(list(cat.inventories) + [17.0])
-            ref = simplex_solve(rows, rhs, np.array([c.fixed_revenue(r) for c in cols.columns]))
+            ref = simplex_solve(rows, rhs, member_order_fixed_revenues(cols, r))
             assert_same_bits(np.float64(sol.objective), np.float64(ref.objective))
             assert_same_bits(np.array(sol.masses), ref.x)
-        assert cols.demands[3].tolist() == [0.0] * len(cols.columns)
+        assert cols.demands[3].tolist() == [0.0] * cols.revenues.size
 
     def test_arrays_reject_writes(self):
         cols = enumerate_columns(ItemCatalog([1.0, 0.5, -0.5], [1, 2, 3]))
@@ -256,11 +256,10 @@ class TestColumnArrays:
     def test_column_view(self):
         cols = enumerate_columns(ItemCatalog([1.5, 1.0, 0.5], [1, 1, 1]))
         view = cols.columns
-        assert len(view) == 7
-        assert view[-1] == view[6] and view[6].members == (0, 1, 2)
-        assert [c.members for c in view][:3] == [(0,), (1,), (0, 1)]
-        with pytest.raises(IndexError):
-            view[7]
+        assert view.shape == (7, 3) and len(view) == 7
+        assert_same_bits(view, cols.demands.T)
+        with pytest.raises(ValueError):
+            view[0, 0] = 1.0
 
     def test_enumeration_leaves_outcome_cache_alone(self):
         before = _outcome_cached.cache_info().currsize
@@ -269,9 +268,9 @@ class TestColumnArrays:
 
     def test_enumeration_keeps_under_256_bytes_per_column(self):
         # 256 bytes a column is 1 MB at 12 items. The arrays hold n + 1
-        # doubles a column (90 bytes here); one Column record and one cached
-        # outcome per mask kept about 1.2 kB. Ten items keep the traced run
-        # short: tracing slows the scalar solves several times over.
+        # doubles a column (90 bytes here); a record object and a cached
+        # outcome per mask would keep about 1.2 kB. Ten items keep the traced
+        # run short: tracing slows the scalar solves several times over.
         cat = ItemCatalog(np.linspace(2.9, -2.3, 10), [2] * 10)
         gc.collect()
         tracemalloc.start()
@@ -581,9 +580,7 @@ class TestLpPlanSolves:
             catalog = ItemCatalog(qualities, inventories[:n])
             cols = enumerate_columns(catalog)
             r = prices[:n]
-            fixed = np.zeros(cols.revenues.size)
-            for j in range(fixed.size):
-                fixed[j] = cols.columns[j].fixed_revenue(r)
+            fixed = member_order_fixed_revenues(cols, r)
             for sol, values in ((solve_opt(catalog, buyers), cols.revenues),
                                 (solve_opt_fixed_rev(catalog, buyers, r), fixed)):
                 rows, rhs, c = lp_of(catalog, buyers, values)
@@ -638,13 +635,13 @@ class TestSolveOpt:
             cat = ItemCatalog(rng.uniform(-2, 2.5, n), rng.integers(1, 4, n))
             m = int(rng.integers(1, 15))
             sol = solve_opt(cat, m)
-            cols = enumerate_columns(cat).columns
-            assert sol.objective <= m * max(c.revenue for c in cols) + 1e-8
+            cols = enumerate_columns(cat)
+            assert sol.objective <= m * cols.revenues.max() + 1e-8
             # Each unit of item i earns at most its best per-unit price.
             best_price = np.zeros(n)
-            for col in cols:
-                for i, q in zip(col.members, col.demands):
-                    best_price[i] = max(best_price[i], 1.0 / (1.0 - q))
+            for j in range(cols.revenues.size):
+                for i in cols.members(j):
+                    best_price[i] = max(best_price[i], 1.0 / (1.0 - cols.demands[i, j]))
             cap = float(np.dot(cat.inventories, best_price))
             assert sol.objective <= cap + 1e-8
 
@@ -658,7 +655,7 @@ class TestFixedRevenue:
         assert sol.objective == pytest.approx(1.0 - out.q0, abs=1e-9)
         # Full-assortment column carries all the mass.
         best = int(np.argmax(sol.masses))
-        assert enumerate_columns(cat).columns[best].members == (0, 1)
+        assert enumerate_columns(cat).members(best) == (0, 1)
 
     def test_zero_revenues(self):
         sol = solve_opt_fixed_rev(ItemCatalog([1.0, 2.0], [1, 1]), 3, [0.0, 0.0])
@@ -670,9 +667,10 @@ class TestFixedRevenue:
         cat = ItemCatalog([0.5, 1.5, 2.5], [1, 1, 1])
         out = equilibrium_outcome(cat, (0, 1, 2))
         r = [1.0 / (1.0 - q) for q in out.demands]
-        cols = enumerate_columns(cat).columns
-        full = next(c for c in cols if c.members == (0, 1, 2))
-        assert full.fixed_revenue(r) == pytest.approx(out.total_revenue, abs=1e-10)
+        cols = enumerate_columns(cat)
+        full = cols.revenues.size - 1  # bitmask 0b111
+        assert cols.members(full) == (0, 1, 2)
+        assert member_order_fixed_revenues(cols, r)[full] == pytest.approx(out.total_revenue, abs=1e-10)
 
     def test_rejects_wrong_length(self):
         with pytest.raises(DomainError):
