@@ -3,10 +3,15 @@
 Subcommands: equilibrium | opt | simulate | gcurve | network | segment |
 adversary-demo. Inputs are JSON files with an explicit schema version;
 unknown fields are rejected so typos fail loudly. Outputs are deterministic
-byte-for-byte for a fixed config and seed: floats print with 12 significant
-digits and a dot decimal, JSON keys are sorted, and the per-replication RNG
-streams fix every replication's revenue; ``simulate --workers`` is accepted
-and has no effect.
+byte-for-byte for a fixed config and seed. The JSON outputs (equilibrium,
+opt, network, segment) print floats as the shortest repr that round-trips,
+with sorted keys; the CSV and text outputs (simulate, gcurve,
+adversary-demo, segment --csv) print them with 12 significant digits and a
+dot decimal. The per-replication RNG streams fix every replication's
+revenue; ``simulate --workers`` is accepted and has no effect.
+
+The price-game modules (network, segmentation) are imported by the network
+and segment commands on first use, so the other commands never load them.
 
 Exit codes: 0 success, 2 config or schema problem, 3 numeric, memory or I/O
 failure.
@@ -21,6 +26,7 @@ import json
 import math
 import sys
 import warnings
+from typing import TYPE_CHECKING
 
 from .equilibrium import (
     DomainError,
@@ -31,9 +37,10 @@ from .equilibrium import (
     whole_number,
 )
 from .lp import enumerate_columns, solve_opt, solve_opt_fixed_rev
-from .network import BipartiteMarket, check_consistency, solve_network_equilibrium
-from .segmentation import compare_segmented_vs_whole, segment_market
 from .simulate import POLICIES, adversarial_instance, always_offer_ratios, estimate_ratios, hybrid_ratio_bound
+
+if TYPE_CHECKING:
+    from .network import BipartiteMarket
 
 SCHEMA_VERSION = 1
 SIMULATE_CSV_COLUMNS = (
@@ -99,6 +106,8 @@ def parse_catalog(doc) -> ItemCatalog:
 
 
 def parse_market(doc) -> BipartiteMarket:
+    from .network import BipartiteMarket
+
     _require_fields(
         doc,
         allowed={"schema", "theta", "visibility", "capacities"},
@@ -273,6 +282,8 @@ def cmd_gcurve(args) -> int:
 
 def _load_checked_market(path: str):
     """Load a market file; warn on stderr when the market is not consistent."""
+    from .network import check_consistency
+
     market = parse_market(_load_json(path))
     consistency = check_consistency(market)
     if not consistency.consistent:
@@ -284,6 +295,8 @@ def _load_checked_market(path: str):
 
 
 def cmd_network(args) -> int:
+    from .network import solve_network_equilibrium
+
     market, consistency = _load_checked_market(args.market)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -304,6 +317,8 @@ def cmd_network(args) -> int:
 
 
 def cmd_segment(args) -> int:
+    from .segmentation import compare_segmented_vs_whole, segment_market
+
     market, _ = _load_checked_market(args.market)
     if args.compare:
         with warnings.catch_warnings():

@@ -536,33 +536,46 @@ def _bound_numeric_branch(lam: float) -> float:
 
     Coarse grid of step 1e-3, then local refinement at step 1e-5 of both the
     inner argmax and the outer argmin; the objective is smooth on the domain
-    so two stages are enough for the reported precision.
+    so two stages are enough for the reported precision. Every refined y is
+    one row of a block padded with -inf where x > y or past the row's grid:
+    _branch_value is elementwise and max, min and the arg-selections are
+    exact, so the block gives the bits of one inner maximum per y.
     """
     coarse, fine = 1e-3, 1e-5
     f = threshold_headroom(lam)
 
-    def inner_max(y: float) -> float:
-        xs = np.arange(0.0, y + coarse, coarse)
-        xs = xs[xs <= y]
-        vals = _branch_value(lam, f, np.full_like(xs, y), xs)
-        x0 = float(xs[int(vals.argmax())])
-        xs2 = np.arange(max(0.0, x0 - 1.5 * coarse), min(y, x0 + 1.5 * coarse) + fine, fine)
-        xs2 = xs2[xs2 <= y]
-        return float(_branch_value(lam, f, np.full_like(xs2, y), xs2).max())
+    def masked(y: np.ndarray, xs: np.ndarray, in_grid=True) -> np.ndarray:
+        """Row k holds the values at y[k] and xs (shared, or row k of a
+        block), with -inf where x > y[k] or outside in_grid."""
+        vals = _branch_value(lam, f, y[:, None], xs)
+        vals[~((xs <= y[:, None]) & in_grid)] = -np.inf
+        return vals
 
     ys = np.arange(0.0, lam + coarse, coarse)
     ys = ys[ys <= lam]
-    grid = np.full((ys.size, ys.size), -np.inf)
-    xs = ys
-    yy, xx = np.meshgrid(ys, xs, indexing="ij")
-    mask = xx <= yy
-    grid[mask] = _branch_value(lam, f, yy[mask], xx[mask])
-    coarse_vals = grid.max(axis=1)
-    y0 = float(ys[int(coarse_vals.argmin())])
-    best = math.inf
-    for y in np.arange(max(0.0, y0 - 1.5 * coarse), min(lam, y0 + 1.5 * coarse) + fine, fine):
-        best = min(best, inner_max(min(float(y), lam)))
-    return best
+    # The coarse grid in bands of 256 rows, each only as wide as its last
+    # row's x <= y, which keeps the temporaries in cache.
+    coarse_max = np.concatenate(
+        [masked(ys[r:r + 256], ys[:r + 256]).max(axis=1) for r in range(0, ys.size, 256)]
+    )
+    y0 = float(ys[int(coarse_max.argmin())])
+    y_fine = np.arange(max(0.0, y0 - 1.5 * coarse), min(lam, y0 + 1.5 * coarse) + fine, fine)
+    y_fine = np.minimum(y_fine, lam)
+    # Inner coarse grids: np.arange from 0 gives i * coarse whatever the stop,
+    # so every row's grid is one shared prefix cut at x <= y.
+    xs = np.arange(0.0, float(y_fine.max()) + coarse, coarse)
+    x0 = xs[masked(y_fine, xs).argmax(axis=1)]
+    # Inner fine grids, each exactly as np.arange makes it from its own start.
+    rows = [
+        np.arange(a, b, fine)
+        for a, b in zip(np.maximum(0.0, x0 - 1.5 * coarse).tolist(),
+                        (np.minimum(y_fine, x0 + 1.5 * coarse) + fine).tolist())
+    ]
+    sizes = np.array([row.size for row in rows])
+    in_grid = np.arange(sizes.max()) < sizes[:, None]
+    xs2 = np.zeros(in_grid.shape)
+    xs2[in_grid] = np.concatenate(rows)
+    return float(masked(y_fine, xs2, in_grid).max(axis=1).min())
 
 
 def hybrid_ratio_bound(lam: float) -> float:

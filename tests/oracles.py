@@ -21,7 +21,8 @@ from mnlmarkets.lp import SimplexResult, enumerate_columns, simplex_solve, solve
 from mnlmarkets.network import _sigmoid, seller_best_response, seller_utility
 from mnlmarkets.policies import OnlineInstance
 from mnlmarkets.segmentation import WEIGHT_SCALE, unit_price_weight
-from mnlmarkets.simulate import POLICIES, adversarial_instance, episode_rng, run_episode
+from mnlmarkets.simulate import (POLICIES, _branch_value, adversarial_instance, episode_rng, run_episode,
+                                 threshold_headroom)
 
 
 def bits(values):
@@ -419,6 +420,51 @@ def reference_best_response(market, prices, i):
     return 0.5 * (lo + hi), "capacity"
 
 
+def global_best_response(market, prices, i):
+    """(price, utility) of seller i's best response found by a global scan.
+
+    Seller i's capped revenue p * min(demand, c_i) is evaluated in one array
+    over a grid on (0, price_box], with every rival's price fixed; the best
+    grid point is then refined by golden section between its neighbours.
+    The grid's shares come from np.logaddexp, not the library's kernels.
+    Shares network.seller_utility (the refinement and the returned utility)
+    and BipartiteMarket.price_box, so it checks the search of
+    seller_best_response, not the utility it maximizes.
+    """
+    p = np.asarray(prices, dtype=float).copy()
+    box, points = market.price_box(), 2001
+    rivals = market.visibility.copy()
+    rivals[i] = False
+    rival_util = np.where(rivals, market.theta - p[:, None], -np.inf)
+    log_rest = np.logaddexp.reduce(np.vstack([np.zeros(market.buyers), rival_util]), axis=0)
+    own = market.visibility[i]
+    grid = np.linspace(box / points, box, points)
+    logits = market.theta[i, own][None, :] - grid[:, None] - log_rest[own][None, :]
+    demand = (0.5 * (1.0 + np.tanh(0.5 * logits))).sum(axis=1)
+    k = int((grid * np.minimum(demand, market.capacities[i])).argmax())
+
+    def utility(x):
+        p[i] = x
+        return seller_utility(market, p, i)
+
+    lo, hi = grid[k - 1] if k else 0.0, grid[min(k + 1, points - 1)]
+    best = (utility(grid[k]), grid[k])
+    ratio = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
+    fa, fb = utility(a), utility(b)
+    while hi - lo > 1e-12 * max(1.0, hi):
+        if fa >= fb:
+            hi, b, fb = b, a, fa
+            a = hi - ratio * (hi - lo)
+            fa = utility(a)
+        else:
+            lo, a, fa = a, b, fb
+            b = lo + ratio * (hi - lo)
+            fb = utility(b)
+        best = max(best, (fa, a), (fb, b))
+    return float(best[1]), best[0]
+
+
 def reference_gains(market, p):
     """Best-response gains with one full demand solve per utility; shares
     network.seller_best_response and network.seller_utility."""
@@ -559,3 +605,35 @@ def reference_row(name, catalog, threshold, m, replications, seed):
     se = float(revenues.std(ddof=1) / math.sqrt(replications)) if replications > 1 else 0.0
     opt = solve_opt(catalog, m).objective if m >= 1 else 0.0
     return (mean, se, opt, mean / opt if opt > 0 else math.nan)
+
+
+def reference_numeric_branch(lam: float) -> float:
+    """The hybrid bound's numeric branch, one inner maximum per refined y.
+
+    The loop form of simulate._bound_numeric_branch, which evaluates every
+    refinement in one padded block. Shares simulate._branch_value and
+    simulate.threshold_headroom.
+    """
+    coarse, fine = 1e-3, 1e-5
+    f = threshold_headroom(lam)
+
+    def inner_max(y: float) -> float:
+        xs = np.arange(0.0, y + coarse, coarse)
+        xs = xs[xs <= y]
+        vals = _branch_value(lam, f, np.full_like(xs, y), xs)
+        x0 = float(xs[int(vals.argmax())])
+        xs2 = np.arange(max(0.0, x0 - 1.5 * coarse), min(y, x0 + 1.5 * coarse) + fine, fine)
+        xs2 = xs2[xs2 <= y]
+        return float(_branch_value(lam, f, np.full_like(xs2, y), xs2).max())
+
+    ys = np.arange(0.0, lam + coarse, coarse)
+    ys = ys[ys <= lam]
+    grid = np.full((ys.size, ys.size), -np.inf)
+    yy, xx = np.meshgrid(ys, ys, indexing="ij")
+    mask = xx <= yy
+    grid[mask] = _branch_value(lam, f, yy[mask], xx[mask])
+    y0 = float(ys[int(grid.max(axis=1).argmin())])
+    best = math.inf
+    for y in np.arange(max(0.0, y0 - 1.5 * coarse), min(lam, y0 + 1.5 * coarse) + fine, fine):
+        best = min(best, inner_max(min(float(y), lam)))
+    return best

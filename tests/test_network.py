@@ -20,8 +20,8 @@ from mnlmarkets.network import (
     solve_network_equilibrium,
     verify_equilibrium,
 )
-from oracles import (assert_same_bits_except_nan_sign, bits, reference_best_response, reference_gains,
-                     reference_rival_logits, single_buyer_prices)
+from oracles import (assert_same_bits_except_nan_sign, bits, global_best_response, reference_best_response,
+                     reference_gains, reference_rival_logits, single_buyer_prices)
 
 
 def assert_responds_like_reference(market, prices, i):
@@ -485,6 +485,40 @@ class TestBestResponseMatchesReference:
             assert bits(verify_equilibrium(market, p).best_response_gains) == bits(want)
             rep = solve_network_equilibrium(market, max_iters=50)
             assert bits([rep.residual]) == bits([max([0.0, *reference_gains(market, np.array(rep.prices))])])
+
+
+class TestGlobalBestResponse:
+    """seller_best_response against a global scan of the seller's utility."""
+
+    @staticmethod
+    def shortfall(market, prices, i):
+        """The oracle's utility minus the solver's, relative to max(1, |oracle|)."""
+        trial = np.array(prices, dtype=float)
+        trial[i] = seller_best_response(market, prices, i)
+        _, best = global_best_response(market, prices, i)
+        return (best - seller_utility(market, trial, i)) / max(1.0, abs(best))
+
+    def test_consistent_markets(self):
+        rng = np.random.default_rng(271)
+        responses = 0
+        for _ in range(60):
+            n, m = int(rng.integers(1, 5)), int(rng.integers(1, 9))
+            market = BipartiteMarket(rng.uniform(-1.0, 2.3, (n, m)), visibility=rng.random((n, m)) < 0.8,
+                                     capacities=rng.integers(1, 4, n))
+            assert check_consistency(market).consistent
+            prices = rng.uniform(0.5, 5.0, n)
+            for i in range(n):
+                assert self.shortfall(market, prices, i) <= 1e-9
+                responses += 1
+        assert responses >= 120
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 8 step 2: the capacity arm lifts the low mode "
+                              "of a bimodal utility and never compares the high one")
+    def test_bimodal_inconsistent_market(self):
+        # Capacity-clearing price 3.366 earns 6.732; price 7.962 earns 7.127.
+        market = BipartiteMarket([[10.0] + [0.0] * 30], capacities=[2])
+        assert self.shortfall(market, [1.0], 0) <= 1e-9
 
 
 class TestConsistency:

@@ -25,6 +25,7 @@ from mnlmarkets.simulate import (
     sample_choice,
     threshold_headroom,
     _bound_closed_branch,
+    _bound_numeric_branch,
     _MASK_RULES,
     _choice_tables,
     _lockstep,
@@ -32,7 +33,7 @@ from mnlmarkets.simulate import (
 )
 from mnlmarkets import simulate
 from mnlmarkets.lp import solve_opt
-from oracles import bits, reference_row, scalar_revenues
+from oracles import bits, reference_numeric_branch, reference_row, scalar_revenues
 
 E = math.e
 
@@ -561,6 +562,13 @@ class TestRatioBound:
             xs = np.linspace(0.0, lam, 200_001)
             vals = (lam - xs) * xs / ((f + xs) * (1.0 - xs))
             assert _bound_closed_branch(lam) == pytest.approx(float(vals.max()), abs=1e-8)
+
+    def test_numeric_branch_is_the_loop_bit_for_bit(self):
+        # One padded block of refinements against one inner maximum per y.
+        lams = [round(0.5 + 0.01 * k, 2) for k in range(50)]
+        assert bits([_bound_numeric_branch(lam) for lam in lams]) == bits(
+            [reference_numeric_branch(lam) for lam in lams]
+        )
 
     def test_bound_is_the_lower_envelope(self):
         for lam in (0.55, 0.63, 0.7):
