@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -76,6 +76,21 @@ def real_number(value, what: str) -> float:
         raise DomainError(f"{what}: an integer too large for a double") from None
 
 
+def distinct_indices(values, size: int, what: str) -> tuple[int, ...]:
+    """The values as ints in their given order; DomainError unless each is an
+    integer in [0, size), numpy integers included and booleans not, and none repeats."""
+    seen = {}
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+            raise DomainError(f"{what}: {v!r} is not an integer")
+        if not 0 <= v < size:
+            raise DomainError(f"{what}: {v} is out of range for {size}")
+        if v in seen:
+            raise DomainError(f"{what}: {v} is repeated")
+        seen[int(v)] = None
+    return tuple(seen)
+
+
 _MAX_ITER = 200
 # Cap of the no-purchase Newton. Bisection from q0 = 0.5 takes 1021 halvings
 # to reach the least normal double, so any normal root is reached within it.
@@ -95,19 +110,20 @@ _LN_LEAST_SUBNORMAL = math.log(5e-324)
 _MASK_BLOCK = 1024
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ItemCatalog:
     """The seller side of a market: qualities, inventories, optional unit costs.
 
     Items are stored sorted by descending quality (ties keep input order) and
     ``order[k]`` gives the original input index of the item at sorted
     position k. All other modules address items by sorted position.
+    Catalogs compare and hash by value, which the outcome caches key on.
     """
 
     qualities: tuple[float, ...]
     inventories: tuple[int, ...]
-    costs: tuple[float, ...] | None = None
-    order: tuple[int, ...] = field(default=())
+    costs: tuple[float, ...] | None
+    order: tuple[int, ...]
 
     def __init__(self, qualities, inventories, costs=None):
         qualities = [real_number(t, "qualities") for t in qualities]
@@ -139,9 +155,9 @@ class ItemCatalog:
         return len(self.qualities)
 
     def positions(self, original_ids: Iterable[int]) -> tuple[int, ...]:
-        """Map original input indices to sorted positions."""
+        """Map distinct original input indices to sorted positions."""
         inverse = {orig: pos for pos, orig in enumerate(self.order)}
-        return tuple(inverse[i] for i in original_ids)
+        return tuple(inverse[i] for i in distinct_indices(original_ids, len(self), "item ids"))
 
 
 @dataclass(frozen=True)
@@ -163,16 +179,7 @@ class EquilibriumOutcome:
 
 def validate_assortment(catalog: ItemCatalog, members: Iterable[int]) -> tuple[int, ...]:
     """Normalize an assortment to a sorted tuple of distinct valid positions."""
-    seen = set()
-    for i in members:
-        if not isinstance(i, int) or isinstance(i, bool):
-            raise DomainError(f"assortment members must be integers, got {i!r}")
-        if not 0 <= i < len(catalog):
-            raise DomainError(f"item index {i} out of range for {len(catalog)} items")
-        if i in seen:
-            raise DomainError(f"duplicate item index {i}")
-        seen.add(i)
-    return tuple(sorted(seen))
+    return tuple(sorted(distinct_indices(members, len(catalog), "assortment")))
 
 
 def _newton(fn, x: float, lo: float, hi: float, tol: float, stalled: str | None,

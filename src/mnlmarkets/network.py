@@ -35,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .equilibrium import DomainError, SolverError, _newton, real_number, whole_number
+from .equilibrium import DomainError, SolverError, _newton, distinct_indices, real_number, whole_number
 
 CONSISTENT_SHARE_CAP = 0.91
 _BR_TOL = 1e-12
@@ -52,9 +52,12 @@ def _constant(value: float) -> np.ndarray:
 _ONE, _TWO, _MINUS_ONE = _constant(1.0), _constant(2.0), _constant(-1.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class BipartiteMarket:
-    """Quality matrix theta[i, k] (sellers x buyers), visibility, capacities."""
+    """Quality matrix theta[i, k] (sellers x buyers), visibility, capacities.
+
+    Compares and hashes by identity, as an array field has no truth value.
+    """
 
     theta: np.ndarray
     visibility: np.ndarray
@@ -171,16 +174,17 @@ class ConsistencyReport:
     max_share: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EquilibriumReport:
-    """Round-robin best-response fixed point (or the last iterate)."""
+    """Round-robin best-response fixed point (or the last iterate); compares
+    and hashes by identity."""
 
     prices: tuple[float, ...]
     demands: np.ndarray
     iterations: int
     capacity_ok: bool
     converged: bool
-    market: BipartiteMarket = field(repr=False, compare=False)
+    market: BipartiteMarket = field(repr=False)
 
     @cached_property
     def residual(self) -> float:
@@ -218,15 +222,6 @@ def network_demand(market: BipartiteMarket, prices) -> np.ndarray:
     return weights / (np.exp(-shift) + weights.sum(axis=0))
 
 
-def _seller_index(market: BipartiteMarket, i) -> int:
-    """int(i); DomainError for a boolean, a non-integer or an index out of range."""
-    if isinstance(i, (bool, np.bool_)) or not isinstance(i, numbers.Integral):
-        raise DomainError(f"seller index {i!r} is not an integer")
-    if not 0 <= i < market.sellers:
-        raise DomainError(f"seller index {i} out of range")
-    return int(i)
-
-
 def _price_vector(market: BipartiteMarket, prices) -> np.ndarray:
     """prices as a finite float64 array of shape (sellers,), else DomainError."""
     p = np.asarray(prices, dtype=float)
@@ -239,7 +234,7 @@ def _price_vector(market: BipartiteMarket, prices) -> np.ndarray:
 
 def seller_utility(market: BipartiteMarket, prices, i: int) -> float:
     """Capacity-capped expected revenue p_i * min(total demand, c_i) at finite prices."""
-    i = _seller_index(market, i)
+    (i,) = distinct_indices((i,), market.sellers, "seller index")
     p = _price_vector(market, prices)
     total = float(network_demand(market, p)[i].sum())
     return float(p[i]) * min(total, market.capacities[i])
@@ -301,7 +296,7 @@ def seller_best_response(market: BipartiteMarket, prices, i: int) -> float:
     where demand equals c_i (demand is strictly decreasing in the own
     price). Sellers with no visible buyers price at 0 by convention.
     """
-    i = _seller_index(market, i)
+    (i,) = distinct_indices((i,), market.sellers, "seller index")
     z = _rival_logits(market, _price_vector(market, prices), i)
     if z.size == 0:
         return 0.0

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .equilibrium import DomainError, ItemCatalog, solo_revenue_for_quality
+from .equilibrium import DomainError, ItemCatalog, real_number, solo_revenue_for_quality, whole_number
 
 
 def check_threshold(lam: float) -> None:
@@ -48,9 +48,13 @@ class OnlineInstance:
     threshold: float
 
     def __post_init__(self):
-        if self.m < 0:
-            raise DomainError(f"buyer count must be nonnegative, got {self.m}")
-        check_threshold(self.threshold)
+        m = whole_number(self.m, "buyer count")
+        if m < 0:
+            raise DomainError(f"buyer count must be nonnegative, got {m}")
+        threshold = real_number(self.threshold, "threshold")
+        check_threshold(threshold)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "threshold", threshold)
 
 
 @lru_cache(maxsize=1024)

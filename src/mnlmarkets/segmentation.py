@@ -30,11 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import DomainError, _libm, _sequential_sum
+from .equilibrium import DomainError, _libm, _sequential_sum, distinct_indices
 from .network import (
     BipartiteMarket,
     EquilibriumReport,
-    _seller_index,
     network_demand,
     seller_best_response,
     solve_network_equilibrium,
@@ -223,16 +222,10 @@ def equilibrate_pool(market: BipartiteMarket, pool: Pool) -> tuple[float, float]
     improve on the unit price the pool was scored at. The pool's buyers
     are distinct buyer indices, each visible to its seller, else DomainError.
     """
-    seller = _seller_index(market, pool.seller)
-    if not pool.buyers:
+    (seller,) = distinct_indices((pool.seller,), market.sellers, "seller index")
+    buyers = np.array(distinct_indices(pool.buyers, market.buyers, "pool buyers"), dtype=np.intp)
+    if buyers.size == 0:
         raise DomainError("pool must contain at least one buyer")
-    buyers = np.asarray(pool.buyers)
-    if buyers.ndim != 1 or buyers.dtype.kind not in "iu":
-        raise DomainError(f"pool buyers {pool.buyers!r} are not buyer indices")
-    if buyers.min() < 0 or buyers.max() >= market.buyers:
-        raise DomainError(f"pool buyers {pool.buyers!r} out of range")
-    if len(set(pool.buyers)) < buyers.size:
-        raise DomainError(f"pool buyers {pool.buyers!r} repeat a buyer")
     if not market.visibility[seller, buyers].all():
         raise DomainError(f"pool buyers {pool.buyers!r} include one invisible to seller {seller}")
     sub = BipartiteMarket(

@@ -420,34 +420,51 @@ def reference_best_response(market, prices, i):
     return 0.5 * (lo + hi), "capacity"
 
 
-def global_best_response(market, prices, i):
-    """(price, utility) of seller i's best response found by a global scan.
+def grid_utility(market, prices, i):
+    """(grid, utility): seller i's capped revenue p * min(demand, c_i) in one
+    array over a grid on (0, price_box], with every rival's price fixed.
 
-    Seller i's capped revenue p * min(demand, c_i) is evaluated in one array
-    over a grid on (0, price_box], with every rival's price fixed; the best
-    grid point is then refined by golden section between its neighbours.
-    The grid's shares come from np.logaddexp, not the library's kernels.
-    Shares network.seller_utility (the refinement and the returned utility)
-    and BipartiteMarket.price_box, so it checks the search of
-    seller_best_response, not the utility it maximizes.
+    The shares come from np.logaddexp, not the library's kernels; shares
+    only BipartiteMarket.price_box.
     """
-    p = np.asarray(prices, dtype=float).copy()
-    box, points = market.price_box(), 2001
+    p = np.asarray(prices, dtype=float)
     rivals = market.visibility.copy()
     rivals[i] = False
     rival_util = np.where(rivals, market.theta - p[:, None], -np.inf)
     log_rest = np.logaddexp.reduce(np.vstack([np.zeros(market.buyers), rival_util]), axis=0)
     own = market.visibility[i]
+    box, points = market.price_box(), 2001
     grid = np.linspace(box / points, box, points)
     logits = market.theta[i, own][None, :] - grid[:, None] - log_rest[own][None, :]
     demand = (0.5 * (1.0 + np.tanh(0.5 * logits))).sum(axis=1)
-    k = int((grid * np.minimum(demand, market.capacities[i])).argmax())
+    return grid, grid * np.minimum(demand, market.capacities[i])
+
+
+def sign_changes(values):
+    """How often the differences of ``values`` change sign, ignoring those
+    within 1e-12 of the largest |value|; a unimodal sequence has at most one."""
+    steps = np.diff(values)
+    signs = np.sign(steps[np.abs(steps) > 1e-12 * np.abs(values).max(initial=0.0)])
+    return int(np.count_nonzero(np.diff(signs)))
+
+
+def global_best_response(market, prices, i):
+    """(price, utility) of seller i's best response found by a global scan.
+
+    The best point of ``grid_utility`` is refined by golden section between
+    its neighbours. Shares network.seller_utility (the refinement and the
+    returned utility) and BipartiteMarket.price_box, so it checks the search
+    of seller_best_response, not the utility it maximizes.
+    """
+    p = np.asarray(prices, dtype=float).copy()
+    grid, values = grid_utility(market, p, i)
+    k = int(values.argmax())
 
     def utility(x):
         p[i] = x
         return seller_utility(market, p, i)
 
-    lo, hi = grid[k - 1] if k else 0.0, grid[min(k + 1, points - 1)]
+    lo, hi = grid[k - 1] if k else 0.0, grid[min(k + 1, grid.size - 1)]
     best = (utility(grid[k]), grid[k])
     ratio = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
@@ -463,6 +480,25 @@ def global_best_response(market, prices, i):
             fb = utility(b)
         best = max(best, (fa, a), (fb, b))
     return float(best[1]), best[0]
+
+
+def gauss_seidel_prices(market, start, tol=1e-12, max_sweeps=10_000):
+    """Round-robin best responses in seller order from every price at
+    ``start``, until no price in a sweep moves by more than ``tol``.
+
+    Shares network.seller_best_response, so it checks only that the
+    solver's fixed point, reached from p = 1, does not depend on the start.
+    """
+    p = np.full(market.sellers, float(start))
+    for _ in range(max_sweeps):
+        delta = 0.0
+        for i in range(market.sellers):
+            new = seller_best_response(market, p, i)
+            delta = max(delta, abs(new - p[i]))
+            p[i] = new
+        if delta <= tol:
+            return p
+    raise AssertionError(f"no fixed point within {max_sweeps} sweeps from {start}")
 
 
 def reference_gains(market, p):

@@ -226,6 +226,19 @@ class TestSimulateCommand:
         cfg = self.make_config(tmp_path, **field)
         assert_one_error_line(*run(["simulate", "--config", cfg], capsys))
 
+    @pytest.mark.parametrize("field", [
+        {"threshold": "0.6"},
+        {"threshold": True},
+        {"threshold_sweep": [0.6, "0.7"]},
+        {"threshold_sweep": [False]},
+    ], ids=["string", "true", "string-in-sweep", "false-in-sweep"])
+    def test_threshold_must_be_a_json_number(self, tmp_path, capsys, field):
+        # "0.6" ran and printed 0.6; true failed with "got 1.0".
+        drop = ("threshold",) if "threshold_sweep" in field else ()
+        code, out, err = run(["simulate", "--config", self.make_config(tmp_path, drop=drop, **field)], capsys)
+        assert_one_error_line(code, out, err)
+        assert err.startswith("error: threshold: ") and "is not a number" in err
+
     def test_inventory_beyond_double_range_exits_2(self, tmp_path, capsys):
         catalog = {"schema": 1, "qualities": [2.0, 0.5], "inventories": [2, 10**400]}
         cfg = self.make_config(tmp_path, catalog=catalog)

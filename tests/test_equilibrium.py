@@ -96,6 +96,37 @@ class TestCatalog:
         assert cat.qualities == (3.0, 2.5, 1.0) and all(type(t) is float for t in cat.qualities)
         assert cat.costs == (1.0, 0.5, 0.0)
 
+    def test_positions_read_distinct_ids_in_range(self):
+        # An id past the catalog raised KeyError, and a repeat mapped twice.
+        cat = ItemCatalog([0.5, 2.0, 1.0], [3, 1, 2])
+        for bad, message in (([5], "out of range"), ([-1], "out of range"), ([0, 0], "is repeated"),
+                             ([True], "not an integer"), ([1.0], "not an integer")):
+            with pytest.raises(DomainError, match=message):
+                cat.positions(bad)
+        assert cat.positions([np.int64(1), 0]) == cat.positions([1, 0]) == (0, 2)
+
+    def test_equal_catalogs_compare_and_hash_equal(self):
+        # The outcome and column caches key on the catalog's value.
+        doc = {"qualities": [0.5, 2.0, 1.0], "inventories": [3, 1, 2]}
+        a, b = ItemCatalog(**doc), ItemCatalog(**doc)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != ItemCatalog([0.5, 2.0, 1.0], [3, 1, 1])
+
+
+class TestAssortment:
+    def test_numpy_integer_members_are_indices(self):
+        # np.int64(0) raised "assortment members must be integers".
+        cat = ItemCatalog([1.0, 2.0, 0.5], [1, 1, 1])
+        assert equilibrium_outcome(cat, [np.int64(0)]) == equilibrium_outcome(cat, [0])
+        assert equilibrium_outcome(cat, (np.int32(2), np.uint8(0))) == equilibrium_outcome(cat, [0, 2])
+
+    def test_members_must_be_distinct_indices(self):
+        cat = ItemCatalog([1.0, 2.0, 0.5], [1, 1, 1])
+        for bad, message in (([3], "out of range"), ([-1], "out of range"), ([1, 1], "is repeated"),
+                             ([np.True_], "not an integer"), ([0.0], "not an integer"), (["0"], "not an integer")):
+            with pytest.raises(DomainError, match=message):
+                equilibrium_outcome(cat, bad)
+
 
 class TestSolveShare:
     def test_zero_maps_to_zero(self):

@@ -20,8 +20,9 @@ from mnlmarkets.network import (
     solve_network_equilibrium,
     verify_equilibrium,
 )
-from oracles import (assert_same_bits_except_nan_sign, bits, global_best_response, reference_best_response,
-                     reference_gains, reference_rival_logits, single_buyer_prices)
+from oracles import (assert_same_bits_except_nan_sign, bits, gauss_seidel_prices, global_best_response,
+                     grid_utility, reference_best_response, reference_gains, reference_rival_logits,
+                     sign_changes, single_buyer_prices)
 
 
 def assert_responds_like_reference(market, prices, i):
@@ -104,6 +105,14 @@ class TestMarketConstruction:
         assert crowded.price_box() == pytest.approx(13.0, abs=1e-12)
         hot = BipartiteMarket(np.full((1, 9), 14.0), capacities=[1])
         assert hot.price_box() == pytest.approx(14.0 + math.log(8) + 1.0, abs=1e-12)
+
+    def test_markets_and_reports_compare_by_identity(self):
+        # == between equal one-row markets, or between their reports, raised
+        # on the truth value of an array, and hash() on the ndarray fields.
+        market, twin = BipartiteMarket([[1.0, 2.0]]), BipartiteMarket([[1.0, 2.0]])
+        assert market == market and market != twin and len({market, twin, market}) == 2
+        report, again = solve_network_equilibrium(market), solve_network_equilibrium(market)
+        assert report == report and report != again and len({report, again, report}) == 2
 
 
 class TestNetworkDemand:
@@ -511,6 +520,36 @@ class TestGlobalBestResponse:
                 assert self.shortfall(market, prices, i) <= 1e-9
                 responses += 1
         assert responses >= 120
+
+    @staticmethod
+    def consistent_draw():
+        """test_consistent_markets' seeded draw, as (market, prices) pairs."""
+        rng = np.random.default_rng(271)
+        for _ in range(60):
+            n, m = int(rng.integers(1, 5)), int(rng.integers(1, 9))
+            market = BipartiteMarket(rng.uniform(-1.0, 2.3, (n, m)), visibility=rng.random((n, m)) < 0.8,
+                                     capacities=rng.integers(1, 4, n))
+            yield market, rng.uniform(0.5, 5.0, n)
+
+    def test_consistent_utilities_are_unimodal(self):
+        utilities = 0
+        for market, prices in self.consistent_draw():
+            for i in range(market.sellers):
+                assert sign_changes(grid_utility(market, prices, i)[1]) <= 1
+                utilities += 1
+        assert utilities >= 120
+
+    def test_bimodal_utility_fails_the_unimodality_check(self):
+        market = BipartiteMarket([[10.0] + [0.0] * 30], capacities=[2])
+        assert sign_changes(grid_utility(market, [1.0], 0)[1]) > 1
+
+    def test_two_starts_reach_one_equilibrium(self):
+        # The solver starts at p = 1; the oracle starts at the top of the price box.
+        for market, _ in self.consistent_draw():
+            rep = solve_network_equilibrium(market)
+            assert rep.converged
+            far = gauss_seidel_prices(market, market.price_box())
+            assert np.abs(far - rep.prices).max() <= 1e-8
 
     @pytest.mark.xfail(strict=True, raises=AssertionError,
                        reason="ROADMAP item 8 step 2: the capacity arm lifts the low mode "

@@ -15,6 +15,7 @@ from mnlmarkets.policies import (
     modified_hybrid_next,
     solo_demands,
 )
+from mnlmarkets.simulate import estimate_ratio
 
 TEN_ITEM_QUALITIES = (3.0, 2.5, 2.0, 1.5, 1.0, 0.5, -0.5, -1.0, -1.5, -2.0)
 
@@ -166,3 +167,23 @@ class TestInstanceValidation:
             OnlineInstance(catalog=cat, m=1, threshold=0.4)
         with pytest.raises(DomainError):
             OnlineInstance(catalog=cat, m=-1, threshold=0.6)
+
+    def test_buyer_count_must_be_whole(self):
+        # m = 2.5 passed the m < 0 check, and estimate_ratio then raised a
+        # bare TypeError from range().
+        cat = ItemCatalog([1.0], [1])
+        for bad in (2.5, True, "5", None):
+            with pytest.raises(DomainError, match="not a whole number"):
+                OnlineInstance(catalog=cat, m=bad, threshold=0.6)
+        inst = OnlineInstance(catalog=cat, m=5.0, threshold=0.6)
+        assert inst.m == 5 and type(inst.m) is int
+        assert estimate_ratio("hybrid", inst, 3, 0) == estimate_ratio("hybrid", OnlineInstance(cat, 5, 0.6), 3, 0)
+
+    def test_threshold_must_be_a_number(self):
+        # "0.6" raised a TypeError from the comparison in check_threshold.
+        cat = ItemCatalog([1.0], [1])
+        for bad in ("0.6", True, np.True_, None):
+            with pytest.raises(DomainError, match="threshold: .* is not a number"):
+                OnlineInstance(catalog=cat, m=5, threshold=bad)
+        inst = OnlineInstance(catalog=cat, m=5, threshold=np.float32(0.75))
+        assert type(inst.threshold) is float and inst.threshold == float(np.float32(0.75))

@@ -203,13 +203,13 @@ class TestEquilibratePool:
             with pytest.raises(DomainError, match="out of range"):
                 equilibrate_pool(mkt, Pool(1, buyers))
         for buyers in ((True,), (0.5,), ("0",), ((0, 1),)):
-            with pytest.raises(DomainError, match="not buyer indices"):
+            with pytest.raises(DomainError, match="not an integer"):
                 equilibrate_pool(mkt, Pool(1, buyers))
 
     def test_pool_buyers_must_be_distinct(self):
         # (0, 0) counted buyer 0 twice.
         mkt = BipartiteMarket(**self.POOL_MARKET)
-        with pytest.raises(DomainError, match="repeat a buyer"):
+        with pytest.raises(DomainError, match="is repeated"):
             equilibrate_pool(mkt, Pool(1, (0, 1, 0)))
 
     def test_pool_buyers_must_be_visible_to_the_seller(self):
