@@ -223,8 +223,8 @@ def equilibrate_pool(market: BipartiteMarket, pool: Pool) -> tuple[float, float]
     are distinct buyer indices, each visible to its seller, else DomainError.
     """
     (seller,) = distinct_indices((pool.seller,), market.sellers, "seller index")
-    buyers = np.array(distinct_indices(pool.buyers, market.buyers, "pool buyers"), dtype=np.intp)
-    if buyers.size == 0:
+    buyers = list(distinct_indices(pool.buyers, market.buyers, "pool buyers"))
+    if not buyers:
         raise DomainError("pool must contain at least one buyer")
     if not market.visibility[seller, buyers].all():
         raise DomainError(f"pool buyers {pool.buyers!r} include one invisible to seller {seller}")
