@@ -10,7 +10,7 @@ probability above one half, so its revenue share of hindsight collapses
 geometrically with the horizon. No constant fraction is achievable.
 """
 
-from mnlmarkets import adversarial_instance, always_offer_ratio
+from mnlmarkets import adversarial_instance, always_offer_ratios
 
 family = adversarial_instance(growth=4.0, horizon=10)
 
@@ -23,7 +23,7 @@ for t in range(1, family.horizon + 1):
 
 print("\noffer-while-in-stock rule versus hindsight:")
 print("horizon   expected/hindsight")
-for upto in range(1, family.horizon + 1):
-    print(f"{upto:7d}   {always_offer_ratio(family, upto):.6f}")
+for upto, ratio in enumerate(always_offer_ratios(family, family.horizon), start=1):
+    print(f"{upto:7d}   {ratio:.6f}")
 
 print("\n(the same table comes from: mnlmarkets adversary-demo --growth 4 --horizon 10)")

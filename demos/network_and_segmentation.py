@@ -67,10 +67,10 @@ print(f"certificates: lower {seg.lower_bound}, upper {seg.upper_bound:.2f}")
 # one-on-one pools restore monopoly pricing and beat the whole market.
 crowded = BipartiteMarket(np.full((6, 6), 2.3), capacities=[1] * 6)
 cmp = compare_segmented_vs_whole(crowded)
-print(f"\ncrowded market: whole {cmp.whole_revenue:.4f} vs segmented {cmp.segmented_revenue:.4f}")
+print(f"\ncrowded market: whole {cmp.whole_revenue:.4f} vs segmented {cmp.segmentation.total_revenue:.4f}")
 
 # A duopoly goes the other way: displaying both sellers attracts more
 # purchases than any exclusive split.
 duopoly = BipartiteMarket(np.full((2, 4), 2.3), capacities=[2, 2])
 cmp = compare_segmented_vs_whole(duopoly)
-print(f"duopoly:        whole {cmp.whole_revenue:.4f} vs segmented {cmp.segmented_revenue:.4f}")
+print(f"duopoly:        whole {cmp.whole_revenue:.4f} vs segmented {cmp.segmentation.total_revenue:.4f}")

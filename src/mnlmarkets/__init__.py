@@ -31,7 +31,7 @@ _EXPORTS = {
     ], "segmentation"),
     **dict.fromkeys([
         "POLICIES", "EpisodeResult", "HeterogeneousInstance", "RatioEstimate", "adversarial_instance",
-        "always_offer_ratio", "episode_rng", "estimate_ratio", "estimate_ratios", "hybrid_ratio_bound",
+        "always_offer_ratios", "episode_rng", "estimate_ratio", "estimate_ratios", "hybrid_ratio_bound",
         "run_episode", "sample_choice", "threshold_headroom",
     ], "simulate"),
 }

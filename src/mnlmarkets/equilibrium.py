@@ -271,7 +271,7 @@ def solve_share(x: float) -> float:
     Strictly increasing in x, with y(0) = 0 and y -> 1 as x -> infinity. The
     returned root satisfies |y*exp(y/(1-y)) - x| <= 1e-12 * max(1, x).
     """
-    x = float(x)
+    x = real_number(x, "share argument")
     if not math.isfinite(x) or x < 0.0:
         raise DomainError(f"argument must be finite and nonnegative, got {x}")
     if x == 0.0:
@@ -672,9 +672,7 @@ def mnl_demand(qualities: Sequence[float], prices: Sequence[float]) -> list[floa
     no-purchase share is 1 - sum(q). Exponents are shifted by their maximum
     before summing so arbitrarily large qualities stay finite.
     """
-    if len(qualities) != len(prices):
-        raise DomainError("qualities and prices must have equal length")
-    utils = [float(t) - float(p) for t, p in zip(qualities, prices)]
+    utils = _utilities(qualities, prices)
     shift = max(0.0, max(utils, default=0.0))
     weights = [math.exp(u - shift) for u in utils]
     denom = math.exp(-shift) + _sequential_sum(weights)
@@ -687,13 +685,18 @@ def price_game_potential(qualities: Sequence[float], prices: Sequence[float]) ->
     A unilateral move p_i -> p_i' changes ln(potential) by exactly
     ln r_i(p) - ln r_i(p'), so best responses climb it and converge.
     """
-    if len(qualities) != len(prices):
-        raise DomainError("qualities and prices must have equal length")
+    utils = _utilities(qualities, prices)
     if any(p <= 0.0 for p in prices):
         raise DomainError("potential requires strictly positive prices")
-    utils = [float(t) - float(p) for t, p in zip(qualities, prices)]
     log_num = _sequential_sum(math.log(p) + u for p, u in zip(prices, utils))
     return math.exp(log_num - _log_outside_sum(utils))
+
+
+def _utilities(qualities: Sequence[float], prices: Sequence[float]) -> list[float]:
+    """theta_j - p_j of each seller, both read with real_number; DomainError unless the lengths match."""
+    if len(qualities) != len(prices):
+        raise DomainError("qualities and prices must have equal length")
+    return [real_number(t, "qualities") - real_number(p, "prices") for t, p in zip(qualities, prices)]
 
 
 def _log_outside_sum(utils: Sequence[float]) -> float:
@@ -709,15 +712,12 @@ def best_response_price(qualities: Sequence[float], prices: Sequence[float], i: 
     1 - p(1 - q_i(p)) = 0 has a single sign change because its left side is
     strictly decreasing, so a bracketed Newton iteration suffices.
     """
-    if not 0 <= i < len(qualities):
-        raise DomainError(f"seller index {i} out of range")
-    if len(qualities) != len(prices):
-        raise DomainError("qualities and prices must have equal length")
+    (i,) = distinct_indices((i,), len(qualities), "seller index")
+    utils = _utilities(qualities, prices)
     p_max = max(20.0, max(qualities) + 20.0)
     # log of the rival-plus-outside weight: ln(1 + sum_{j != i} e^{theta_j - p_j})
-    log_rival = _log_outside_sum(
-        [float(t) - float(p) for j, (t, p) in enumerate(zip(qualities, prices)) if j != i])
-    theta = float(qualities[i])
+    log_rival = _log_outside_sum(utils[:i] + utils[i + 1:])
+    theta = real_number(qualities[i], "qualities")
 
     def share(p: float) -> float:
         z = theta - p - log_rival
@@ -745,7 +745,7 @@ def quality_for_target_revenue(r: float) -> float:
     Closed form theta = 1 + r + ln r, from q/(1-q) = r and the equilibrium
     fixed point. Rejects r below 1e-12 where ln r underflows usefulness.
     """
-    r = float(r)
+    r = real_number(r, "target revenue")
     if not math.isfinite(r) or r < 1e-12:
         raise DomainError(f"target revenue must be >= 1e-12, got {r}")
     return 1.0 + r + math.log(r)
@@ -760,7 +760,7 @@ def solo_revenue_for_quality(theta: float) -> float:
     root rounds to e^{theta - 1}, which is then 0.0 or the least subnormal:
     Newton could only bisect it to 0.0, where ln r does not exist.
     """
-    target = float(theta) - 1.0
+    target = real_number(theta, "quality") - 1.0
     if not math.isfinite(target):
         raise DomainError("quality must be finite")
     # r + ln r is increasing; Newton from r ~ target or e^{target}.

@@ -44,7 +44,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .equilibrium import DomainError, ItemCatalog, SolverError, _solve_masks, _solve_outcome, real_number
+from .equilibrium import (DomainError, ItemCatalog, SolverError, _solve_masks, _solve_outcome, distinct_indices,
+                          real_number, whole_number)
 
 _MAX_COLUMNS_EXPONENT = 20
 # Smallest catalog enumerated by the batched kernel, which costs about 0.6 ms
@@ -81,8 +82,8 @@ class ColumnSet:
             raise DomainError("column arrays must be (n, 2^n - 1) demands and 2^n - 1 revenues")
 
     def members(self, j: int) -> tuple[int, ...]:
-        """Sorted catalog positions of column j, decoded from bitmask j + 1."""
-        mask = j + 1
+        """Sorted catalog positions of column j, an index in [0, 2^n - 1), decoded from bitmask j + 1."""
+        mask = distinct_indices((j,), self.revenues.size, "column")[0] + 1
         return tuple(i for i in range(len(self.catalog)) if mask >> i & 1)
 
     @property
@@ -247,6 +248,7 @@ def enumerate_columns(catalog: ItemCatalog) -> ColumnSet:
 
 
 def _solve_columns(cols: ColumnSet, m: int, values: np.ndarray) -> LpSolution:
+    m = whole_number(m, "buyer count")
     if m < 1:
         raise DomainError(f"buyer count must be >= 1, got {m}")
     a = cols.demands

@@ -476,6 +476,7 @@ def _best_response_gains(market: BipartiteMarket, p: np.ndarray, demands: np.nda
 def verify_equilibrium(market: BipartiteMarket, prices, epsilon: float = 1e-6) -> VerificationReport:
     """Check a price vector: no profitable deviation, capacity caps, and a
     nonpositive second-order term at interior stationary prices."""
+    epsilon = real_number(epsilon, "epsilon")
     p = _price_vector(market, prices)
     demands = network_demand(market, p)
     gains = _best_response_gains(market, p, demands)

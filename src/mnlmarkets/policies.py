@@ -29,10 +29,12 @@ from typing import Sequence
 from .equilibrium import DomainError, ItemCatalog, real_number, solo_revenue_for_quality, whole_number
 
 
-def check_threshold(lam: float) -> None:
-    """DomainError unless the heaviness threshold lam lies in [0.5, 1)."""
+def check_threshold(lam: float) -> float:
+    """The heaviness threshold lam read with real_number; DomainError unless it lies in [0.5, 1)."""
+    lam = real_number(lam, "threshold")
     if not 0.5 <= lam < 1.0:
         raise DomainError(f"threshold must lie in [0.5, 1), got {lam}")
+    return lam
 
 
 @dataclass(frozen=True)
@@ -51,10 +53,8 @@ class OnlineInstance:
         m = whole_number(self.m, "buyer count")
         if m < 0:
             raise DomainError(f"buyer count must be nonnegative, got {m}")
-        threshold = real_number(self.threshold, "threshold")
-        check_threshold(threshold)
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "threshold", threshold)
+        object.__setattr__(self, "threshold", check_threshold(self.threshold))
 
 
 @lru_cache(maxsize=1024)
@@ -69,7 +69,7 @@ def solo_demands(catalog: ItemCatalog) -> tuple[float, ...]:
 
 def classify_heavy(catalog: ItemCatalog, threshold: float) -> tuple[int, ...]:
     """Positions of heavy items: q_i({i}) >= threshold. Always a prefix."""
-    check_threshold(threshold)
+    threshold = check_threshold(threshold)
     demands = solo_demands(catalog)
     h = 0
     while h < len(demands) and demands[h] >= threshold:
@@ -93,7 +93,7 @@ def greedy_all_next(instance: OnlineInstance, remaining: Sequence[int]) -> tuple
 
 def exponential_weight(x: float) -> float:
     """Inventory-balancing weight e/(e-1) * (1 - e^-x) on [0, 1]."""
-    x = float(x)
+    x = real_number(x, "weight argument")
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"weight argument must lie in [0, 1], got {x}")
     return math.e / (math.e - 1.0) * -math.expm1(-x)

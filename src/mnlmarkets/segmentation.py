@@ -101,7 +101,6 @@ class Segmentation:
 class SegmentationComparison:
     segmentation: Segmentation
     whole: EquilibriumReport
-    segmented_revenue: float
     whole_revenue: float
 
 
@@ -268,7 +267,7 @@ def segment_market(market: BipartiteMarket) -> Segmentation:
 
 
 def compare_segmented_vs_whole(market: BipartiteMarket) -> SegmentationComparison:
-    """Segmented total revenue next to the unsegmented equilibrium revenue.
+    """The segmentation, whose total_revenue is the segmented revenue, next to the whole market's.
 
     No ordering between the two is implied; segmentation can help or hurt
     depending on how polarized the quality matrix is. Non-convergence of the
@@ -283,6 +282,5 @@ def compare_segmented_vs_whole(market: BipartiteMarket) -> SegmentationCompariso
     return SegmentationComparison(
         segmentation=seg,
         whole=whole,
-        segmented_revenue=seg.total_revenue,
         whole_revenue=whole_revenue,
     )

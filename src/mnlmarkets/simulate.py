@@ -53,14 +53,8 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .equilibrium import (
-    DomainError,
-    EquilibriumOutcome,
-    ItemCatalog,
-    equilibrium_outcome,
-    quality_for_target_revenue,
-    solo_revenue_for_quality,
-)
+from .equilibrium import (DomainError, EquilibriumOutcome, ItemCatalog, distinct_indices, equilibrium_outcome,
+                          quality_for_target_revenue, real_number, solo_revenue_for_quality, whole_number)
 from .lp import enumerate_columns, solve_opt
 from .policies import (
     OnlineInstance,
@@ -116,13 +110,21 @@ class HeterogeneousInstance:
     growth: float
     horizon: int
 
+    def _buyer(self, t: int) -> int:
+        """t as an int; DomainError unless it is an integer in [1, horizon], numpy's included."""
+        what = f"buyer (numbered 1 to {self.horizon})"
+        (t,) = distinct_indices((t,), self.horizon + 1, what)
+        if t == 0:
+            raise DomainError(f"{what}: 0 is out of range")
+        return t
+
     def target_revenue(self, t: int) -> float:
         """Intended solo revenue of buyer t (1-based)."""
-        return self.growth ** t
+        return self.growth ** self._buyer(t)
 
     def solo_revenue(self, t: int) -> float:
         """Actual solo equilibrium revenue of buyer t, solved from quality."""
-        return solo_revenue_for_quality(self.qualities[t - 1])
+        return solo_revenue_for_quality(self.qualities[self._buyer(t) - 1])
 
     def solo_demand(self, t: int) -> float:
         r = self.solo_revenue(t)
@@ -130,8 +132,11 @@ class HeterogeneousInstance:
 
 
 def episode_rng(seed: int, replication: int) -> np.random.Generator:
-    """The documented per-replication stream: PCG64 keyed by (seed, rep)."""
-    return np.random.default_rng([int(seed), int(replication)])
+    """The documented per-replication stream: PCG64 keyed by (seed, rep), two whole numbers >= 0."""
+    key = [whole_number(seed, "seed"), whole_number(replication, "replication")]
+    if min(key) < 0:
+        raise DomainError(f"seed and replication must be >= 0, got {key}")
+    return np.random.default_rng(key)
 
 
 def sample_choice(outcome: EquilibriumOutcome, rng: np.random.Generator) -> int | None:
@@ -438,14 +443,16 @@ def estimate_ratios(
     Rows run policy by policy, then threshold, then buyer count, as the CLI
     prints them; each policy is a key of ``POLICIES``, and replication r
     always uses the (seed, r) stream. Inventories of 2^63 or more, which
-    the int64 stock cannot hold, raise first. Every row is checked before any
-    episode runs, in row order, so the first bad row raises: its instance,
-    its replication count and policy name, then counts whose (replications,
-    buyers) matrix of doubles numpy cannot address, then more than 2^32
-    replications, whose index r would not be one 32-bit seed word; then,
-    the first time a row reaches its buyer count, the LP optimum at that
-    count is solved, and the later rows read it back, so a catalog beyond
-    the LP's 20-item cap is rejected before any episode runs.
+    the int64 stock cannot hold, raise first, then a replication count or
+    seed that is not a whole number. Every row is checked before any episode
+    runs, in row order, so the first bad row raises: its instance (whose
+    buyer count the row then reads), its replication count and policy name,
+    then counts whose (replications, buyers) matrix of doubles numpy cannot
+    address, then more than 2^32 replications, whose index r would not be
+    one 32-bit seed word; then, the first time a row reaches its buyer
+    count, the LP optimum at that count is solved, and the later rows read
+    it back, so a catalog beyond the LP's 20-item cap is rejected before
+    any episode runs.
 
     One lockstep pass per block of (policy, threshold) rows then plays all
     their replications to the largest buyer count and snapshots the revenue
@@ -458,11 +465,12 @@ def estimate_ratios(
     """
     if max(catalog.inventories) >= 2**63:
         raise DomainError("inventories must be below 2**63 to simulate")
+    replications, seed = whole_number(replications, "replications"), whole_number(seed, "seed")
     rows = list(itertools.product(policies, thresholds))
     opts = {}
     for name, threshold in rows:
         for m in buyer_counts:
-            OnlineInstance(catalog, m, threshold)  # checks m >= 0 and the threshold
+            m = OnlineInstance(catalog, m, threshold).m  # checks the threshold, reads m as a count >= 0
             if replications < 1:
                 raise DomainError("need at least one replication")
             if not isinstance(name, str) or name not in POLICIES:
@@ -477,7 +485,7 @@ def estimate_ratios(
                 opts[m] = solve_opt(catalog, m).objective if m >= 1 else 0.0
     if not opts:  # no rows
         return []
-    horizons = sorted(set(buyer_counts))
+    horizons = sorted(opts)
     estimates = []
     for snapshots in _lockstep(rows, catalog, horizons, replications, seed, _moments):
         at = dict(zip(horizons, snapshots))
@@ -511,8 +519,9 @@ def threshold_headroom(lam: float) -> float:
     """The revenue-concentration factor max{1 + ((1-lam)/lam)^2, 1/lam}.
 
     Bounds how much any assortment can out-earn the heaviest heavy item
-    offered alone.
+    offered alone. lam is read by check_threshold.
     """
+    lam = check_threshold(lam)
     return max(1.0 + ((1.0 - lam) / lam) ** 2, 1.0 / lam)
 
 
@@ -584,8 +593,7 @@ def hybrid_ratio_bound(lam: float) -> float:
     Minimum of the analytic large-inventory branch and the numeric
     small-inventory branch at heaviness threshold lam in [0.5, 1).
     """
-    lam = float(lam)
-    check_threshold(lam)
+    lam = check_threshold(lam)
     return min(_bound_closed_branch(lam), _bound_numeric_branch(lam))
 
 
@@ -596,7 +604,7 @@ def adversarial_instance(growth: float, horizon: int) -> HeterogeneousInstance:
     growth**t; every such buyer purchases with probability above 1/2 when
     offered. Rejected if growth**horizon leaves double range.
     """
-    growth = float(growth)
+    growth, horizon = real_number(growth, "growth"), whole_number(horizon, "horizon")
     if not growth > 1.0:  # also NaN
         raise DomainError(f"growth must exceed 1, got {growth}")
     if horizon < 1:
@@ -610,22 +618,13 @@ def adversarial_instance(growth: float, horizon: int) -> HeterogeneousInstance:
     return HeterogeneousInstance(qualities=qualities, growth=growth, horizon=horizon)
 
 
-def always_offer_ratio(instance: HeterogeneousInstance, upto: int) -> float:
-    """Hindsight ratio of the offer-while-in-stock rule on the first `upto` buyers.
-
-    Expected revenue sum_t r_t q_t prod_{s<t}(1 - q_s) in closed form,
-    against the clairvoyant value r_upto (save the unit for the last,
-    richest buyer). Decays geometrically in the horizon.
-    """
-    return always_offer_ratios(instance, upto)[-1]
-
-
 def always_offer_ratios(instance: HeterogeneousInstance, upto: int) -> list[float]:
-    """always_offer_ratio of every prefix 1..upto, in order, from one running sum.
+    """Hindsight ratio of the offer-while-in-stock rule on each prefix 1..upto of the buyers.
 
-    Prefix t's expected revenue is the sum after its t-th term, so the
-    whole list costs O(upto), not O(upto^2) calls of always_offer_ratio.
-    """
+    Prefix t's expected revenue sum_{s<=t} r_s q_s prod_{u<s}(1 - q_u), from one running
+    sum, against the clairvoyant r_t (save the unit for the last, richest buyer).
+    The ratio decays geometrically in t."""
+    upto = whole_number(upto, "prefix length")
     if not 1 <= upto <= instance.horizon:
         raise DomainError("prefix length out of range")
     ratios = []

@@ -20,7 +20,7 @@ from mnlmarkets.equilibrium import (DomainError, ItemCatalog, SolverError, _newt
 from mnlmarkets.lp import SimplexResult, enumerate_columns, simplex_solve, solve_opt
 from mnlmarkets.network import _sigmoid, seller_best_response, seller_utility
 from mnlmarkets.policies import OnlineInstance
-from mnlmarkets.segmentation import WEIGHT_SCALE, unit_price_weight
+from mnlmarkets.segmentation import WEIGHT_SCALE, Pool, equilibrate_pool, unit_price_weight
 from mnlmarkets.simulate import (POLICIES, _branch_value, adversarial_instance, episode_rng, run_episode,
                                  threshold_headroom)
 
@@ -618,6 +618,36 @@ def networkx_min_cost_flow(market):
             )
     flow = nx.max_flow_min_cost(graph, "source", "sink")
     return sum(flow["source"].values()), -nx.cost_of_flow(graph, flow)
+
+
+def best_segmentation(market):
+    """The most revenue any segmentation earns: disjoint buyer pools, at most
+    one per seller, each seen whole by its seller and priced alone.
+
+    Prices every pool a seller sees with equilibrate_pool, then takes the
+    best disjoint union by a DP over the sellers in order and the buyer
+    subsets (O(n 3^m)), adding the pools' revenues in seller order as
+    segment_market does. Shares equilibrate_pool, and through it
+    seller_best_response: it checks the flow's choice of pools, not their
+    prices.
+    """
+    m = market.buyers
+    best = [0.0] * (1 << m)  # best[mask]: the most the sellers so far earn from the buyers in mask
+    for i in range(market.sellers):
+        revenue = {}
+        for pool in range(1, 1 << m):
+            buyers = tuple(k for k in range(m) if pool >> k & 1)
+            if market.visibility[i, list(buyers)].all():
+                revenue[pool] = equilibrate_pool(market, Pool(i, buyers))[1]
+        after = best[:]
+        for mask in range(1, 1 << m):
+            sub = mask
+            while sub:
+                if sub in revenue:
+                    after[mask] = max(after[mask], best[mask ^ sub] + revenue[sub])
+                sub = (sub - 1) & mask
+        best = after
+    return best[-1]
 
 
 def scalar_revenues(name, inst, replications, seed):

@@ -24,7 +24,7 @@ from mnlmarkets.lp import (
     solve_opt,
     solve_opt_fixed_rev,
 )
-from mnlmarkets.simulate import always_offer_ratio
+from mnlmarkets.simulate import always_offer_ratios
 from oracles import (assert_certified, assert_same_bits, brute_force_lp, expanded_opt, highs_maximum,
                      impossibility_lp, member_order_fixed_revenues, reference_simplex, scalar_columns)
 
@@ -181,6 +181,16 @@ class TestColumns:
             out = equilibrium_outcome(cat, members)
             assert cols.demands[list(members), j].tolist() == pytest.approx(out.demands, abs=1e-10)
             assert cols.revenues[j] == pytest.approx(out.total_revenue, abs=1e-10)
+
+    def test_members_reads_a_column_index(self):
+        # A 2-item catalog has columns 0, 1 and 2; bitmask decoding once
+        # returned () for 3 and (0, 1) for -2.
+        cols = enumerate_columns(ItemCatalog([1.0, 0.5], [2, 2]))
+        assert [cols.members(j) for j in range(3)] == [(0,), (1,), (0, 1)]
+        assert cols.members(np.int64(2)) == (0, 1)
+        for bad in (3, -1, -2, 1.5, 1.0, True, "1", None):
+            with pytest.raises(DomainError, match="column"):
+                cols.members(bad)
 
     def test_empty_catalog_impossible(self):
         with pytest.raises(DomainError):
@@ -741,7 +751,7 @@ class TestImpossibilityCertificate:
             res = simplex_solve(*lp)
             assert_certified(*lp, res)
             assert res.objective == pytest.approx(highs_maximum(*lp), rel=1e-9)
-            assert res.objective >= always_offer_ratio(inst, horizon)
+            assert res.objective >= always_offer_ratios(inst, horizon)[-1]
             assert simplex_solve(*impossibility_lp(growth, 2 * horizon)[1:]).objective < res.objective
             scaled = horizon * res.objective
             print(f"g={growth:g} H={horizon}: H*c*(H)={scaled:.6f} g/(g-1)={growth / (growth - 1):.6f}")

@@ -21,7 +21,7 @@ from mnlmarkets.segmentation import (
     segment_market,
     unit_price_weight,
 )
-from oracles import (brute_force_assignment, fixed_point_weights, networkx_matching,
+from oracles import (best_segmentation, brute_force_assignment, fixed_point_weights, networkx_matching,
                      networkx_min_cost_flow, scipy_assignment)
 
 E = math.e
@@ -285,6 +285,41 @@ class TestSegmentMarket:
             assert len(buyers) == len(set(buyers))
 
 
+class TestBestSegmentation:
+    def test_oracle_on_hand_markets(self):
+        # One buyer goes to its better seller; two rivals split two buyers.
+        assert best_segmentation(BipartiteMarket([[2.0], [1.0]])) == equilibrate_pool(
+            BipartiteMarket([[2.0], [1.0]]), Pool(0, (0,)))[1]
+        mkt = BipartiteMarket([[2.0, 0.0], [0.0, 2.0]])
+        solo = equilibrate_pool(mkt, Pool(0, (0,)))[1]
+        assert best_segmentation(mkt) == pytest.approx(2 * solo, rel=1e-12)
+        assert best_segmentation(BipartiteMarket([[1.0]], visibility=[[False]])) == 0.0
+
+    def test_flow_segmentation_between_its_bounds_and_the_optimum(self):
+        # Even draws are certifiable (theta >= 0, all pairs visible), so the
+        # revenue floor applies; odd draws have negative qualities and 80%
+        # visibility. A breach is a finding, not a tolerance to widen.
+        rng = np.random.default_rng(7)
+        worst = {}
+        for trial in range(100):
+            n, m = int(rng.integers(1, 4)), int(rng.integers(2, 8))
+            if trial % 2 == 0:
+                theta, visibility = rng.uniform(0.0, 2.3, (n, m)), None
+            else:
+                theta, visibility = rng.uniform(-1.0, 2.3, (n, m)), rng.random((n, m)) < 0.8
+            mkt = BipartiteMarket(theta, visibility, capacities=rng.integers(1, 4, n))
+            seg = segment_market(mkt)
+            opt = best_segmentation(mkt)
+            if trial % 2 == 0:
+                assert seg.lower_bound <= seg.total_revenue
+            assert seg.total_revenue <= opt <= seg.upper_bound
+            if seg.total_revenue > 0:
+                worst[m] = max(worst.get(m, 1.0), opt / seg.total_revenue)
+        for m, ratio in sorted(worst.items()):
+            print(f"m={m}: worst OPT/segmented {ratio:.3f}, ln m {math.log(m):.3f}")
+        assert sorted(worst) == list(range(2, 8))
+
+
 class TestCompare:
     def test_single_buyer_equals_best_pool(self):
         mkt = BipartiteMarket([[2.0], [1.0]], capacities=[1, 1])
@@ -292,7 +327,7 @@ class TestCompare:
         # The lone buyer lands with the high-quality seller; that pool's
         # monopoly revenue is the whole segmented value.
         assert cmp.segmentation.pools == (Pool(0, (0,)),)
-        assert cmp.segmented_revenue == pytest.approx(1.0, abs=1e-8)
+        assert cmp.segmentation.total_revenue == pytest.approx(1.0, abs=1e-8)
         assert cmp.whole.converged
 
     def test_crowded_market_gains_from_segmentation(self):
@@ -302,8 +337,8 @@ class TestCompare:
         mkt = BipartiteMarket(np.full((6, 6), 2.3), capacities=[1] * 6)
         cmp = compare_segmented_vs_whole(mkt)
         assert cmp.whole.converged
-        assert cmp.segmented_revenue > cmp.whole_revenue
-        assert cmp.segmented_revenue == pytest.approx(6.932893, abs=1e-4)
+        assert cmp.segmentation.total_revenue > cmp.whole_revenue
+        assert cmp.segmentation.total_revenue == pytest.approx(6.932893, abs=1e-4)
         assert cmp.whole_revenue == pytest.approx(6.755757, abs=1e-4)
 
     def test_duopoly_keeps_whole_market_ahead(self):
@@ -312,12 +347,12 @@ class TestCompare:
         mkt = BipartiteMarket(np.full((2, 4), 2.3), capacities=[2, 2])
         cmp = compare_segmented_vs_whole(mkt)
         assert cmp.whole.converged
-        assert cmp.whole_revenue > cmp.segmented_revenue
+        assert cmp.whole_revenue > cmp.segmentation.total_revenue
 
     def test_both_values_reported_uniform_market(self):
         mkt = BipartiteMarket(np.ones((2, 3)), capacities=[2, 2])
         cmp = compare_segmented_vs_whole(mkt)
-        assert cmp.segmented_revenue > 0 and cmp.whole_revenue > 0
+        assert cmp.segmentation.total_revenue > 0 and cmp.whole_revenue > 0
 
 
 def oracle_markets():

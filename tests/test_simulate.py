@@ -14,7 +14,6 @@ from mnlmarkets.policies import OnlineInstance, solo_demands
 from mnlmarkets.simulate import (
     POLICIES,
     adversarial_instance,
-    always_offer_ratio,
     always_offer_ratios,
     episode_rng,
     episode_uniforms,
@@ -592,6 +591,18 @@ class TestAdversarialInstance:
             assert inst.solo_revenue(t) == pytest.approx(want, rel=1e-6)
             assert inst.solo_demand(t) >= 0.5
 
+    def test_buyer_is_an_integer_from_one_to_the_horizon(self):
+        # Buyers are numbered 1..horizon. Index 0 once read buyer 3's 64.0,
+        # -1 buyer 2's 16.0, and target_revenue(0) gave 1.0 for no buyer.
+        inst = adversarial_instance(4.0, 3)
+        for t in (1, 2, 3):
+            assert inst.solo_revenue(np.int64(t)) == inst.solo_revenue(t)
+            assert inst.target_revenue(np.int64(t)) == inst.target_revenue(t) == 4.0 ** t
+        for bad in (0, -1, 4, 1.0, 2.5, True, np.bool_(True), "1", None):
+            for method in (inst.target_revenue, inst.solo_revenue, inst.solo_demand):
+                with pytest.raises(DomainError, match="buyer"):
+                    method(bad)
+
     def test_huge_horizon_stays_finite(self):
         inst = adversarial_instance(10.0, 250)
         assert inst.solo_revenue(250) == pytest.approx(1e250, rel=1e-6)
@@ -609,11 +620,11 @@ class TestAdversarialInstance:
         # adversary-demo reads every prefix ratio from one running sum.
         for growth in (1.0000001, 3.0):
             inst = adversarial_instance(growth, 50)
-            want = [always_offer_ratio(inst, upto) for upto in range(1, 51)]
+            want = [always_offer_ratios(inst, upto)[-1] for upto in range(1, 51)]
             assert bits(always_offer_ratios(inst, 50)) == bits(want)
 
     def test_fixed_rule_ratio_decays(self):
         inst = adversarial_instance(4.0, 10)
-        ratios = [always_offer_ratio(inst, t) for t in (1, 4, 7, 10)]
+        ratios = [always_offer_ratios(inst, t)[-1] for t in (1, 4, 7, 10)]
         assert all(b < a for a, b in zip(ratios, ratios[1:]))
         assert ratios[-1] < 0.01
