@@ -76,6 +76,21 @@ def real_number(value, what: str) -> float:
         raise DomainError(f"{what}: an integer too large for a double") from None
 
 
+def real_array(values, what: str) -> np.ndarray:
+    """values as float64, a float64 ndarray as itself; DomainError for a boolean or non-number entry."""
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iuf"):
+        try:
+            values = np.array(values, dtype=object)  # a JSON true stays a bool here
+        except ValueError:  # nested arrays of unequal shapes
+            raise DomainError(f"{what}: a ragged nesting is not an array") from None
+        for example in {type(x): x for x in values.flat}.values():
+            real_number(example, what)
+    try:
+        return values.astype(float, copy=False)
+    except OverflowError:  # an integer beyond the double range
+        raise DomainError(f"{what}: an integer too large for a double") from None
+
+
 def distinct_indices(values, size: int, what: str) -> tuple[int, ...]:
     """The values as ints in their given order; DomainError unless each is an
     integer in [0, size), numpy integers included and booleans not, and none repeats."""

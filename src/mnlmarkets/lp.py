@@ -45,7 +45,7 @@ from functools import lru_cache
 import numpy as np
 
 from .equilibrium import (DomainError, ItemCatalog, SolverError, _solve_masks, _solve_outcome, distinct_indices,
-                          real_number, whole_number)
+                          real_array, real_number, whole_number)
 
 _MAX_COLUMNS_EXPONENT = 20
 # Smallest catalog enumerated by the batched kernel, which costs about 0.6 ms
@@ -73,7 +73,7 @@ class ColumnSet:
 
     def __post_init__(self):
         for name in ("demands", "revenues"):
-            array = np.asarray(getattr(self, name), dtype=float)
+            array = real_array(getattr(self, name), name)
             array.setflags(write=False)
             # A view of a read-only array cannot be made writable again.
             object.__setattr__(self, name, array[...])
@@ -129,10 +129,7 @@ def simplex_solve(rows: np.ndarray, rhs: np.ndarray, objective: np.ndarray) -> S
     numpy as 0-d views of it: a Python float operand costs numpy a
     conversion on every call, and the values, hence the bits, are the same.
     """
-    try:
-        a, b, c = (np.asarray(v, dtype=float) for v in (rows, rhs, objective))
-    except OverflowError:  # an integer beyond the double range
-        raise DomainError("LP data must be finite") from None
+    a, b, c = (real_array(v, "LP data must be finite") for v in (rows, rhs, objective))
     if a.ndim != 2 or a.shape != (b.size, c.size):
         raise DomainError("inconsistent LP dimensions")
     if not (np.isfinite(a).all() and np.isfinite(b).all() and np.isfinite(c).all()):

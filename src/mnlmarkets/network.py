@@ -35,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .equilibrium import DomainError, SolverError, _newton, distinct_indices, real_number, whole_number
+from .equilibrium import DomainError, SolverError, _newton, distinct_indices, real_array, real_number, whole_number
 
 CONSISTENT_SHARE_CAP = 0.91
 _BR_TOL = 1e-12
@@ -65,7 +65,7 @@ class BipartiteMarket:
     quality_cap: float
 
     def __init__(self, theta, visibility=None, capacities=None):
-        theta = _real_matrix(theta)
+        theta = np.array(real_array(theta, "theta"))  # a copy, which is made read-only
         if theta.ndim != 2 or theta.size == 0:
             raise DomainError("theta must be a nonempty 2-d sellers x buyers matrix")
         n, m = theta.shape
@@ -135,18 +135,6 @@ class BipartiteMarket:
         if self.buyers >= 2:
             box = max(box, self.quality_cap + math.log(self.buyers - 1))
         return box + 1.0
-
-
-def _real_matrix(values) -> np.ndarray:
-    """float64 copy of theta; DomainError for an entry that is a boolean or not a number."""
-    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iuf"):
-        values = np.array(values, dtype=object)  # a JSON true stays a bool here
-        for example in {type(x): x for x in values.flat}.values():
-            real_number(example, "theta")
-    try:
-        return values.astype(float)
-    except OverflowError:  # an integer beyond the double range
-        raise DomainError("theta: an integer too large for a double") from None
 
 
 def _flag_matrix(values) -> np.ndarray:
@@ -224,7 +212,7 @@ def network_demand(market: BipartiteMarket, prices) -> np.ndarray:
 
 def _price_vector(market: BipartiteMarket, prices) -> np.ndarray:
     """prices as a finite float64 array of shape (sellers,), else DomainError."""
-    p = np.asarray(prices, dtype=float)
+    p = real_array(prices, "prices")
     if p.shape != (market.sellers,):
         raise DomainError("need one price per seller")
     if not np.isfinite(p).all():

@@ -232,7 +232,7 @@ def equilibrate_pool(market: BipartiteMarket, pool: Pool) -> tuple[float, float]
         capacities=[market.capacities[seller]],
     )
     price = seller_best_response(sub, np.array([1.0]), 0)
-    demand = float(network_demand(sub, [price]).sum())
+    demand = float(network_demand(sub, np.array([price])).sum())
     revenue = price * min(demand, market.capacities[seller])
     return price, revenue
 
