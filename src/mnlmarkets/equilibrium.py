@@ -94,6 +94,10 @@ def real_array(values, what: str) -> np.ndarray:
 def distinct_indices(values, size: int, what: str) -> tuple[int, ...]:
     """The values as ints in their given order; DomainError unless each is an
     integer in [0, size), numpy integers included and booleans not, and none repeats."""
+    try:
+        values = iter(values)
+    except TypeError:  # a scalar
+        raise DomainError(f"{what}: {values!r} is not a sequence") from None
     seen = {}
     for v in values:
         if isinstance(v, bool) or not isinstance(v, numbers.Integral):
@@ -708,9 +712,14 @@ def price_game_potential(qualities: Sequence[float], prices: Sequence[float]) ->
 
 
 def _utilities(qualities: Sequence[float], prices: Sequence[float]) -> list[float]:
-    """theta_j - p_j of each seller, both read with real_number; DomainError unless the lengths match."""
-    if len(qualities) != len(prices):
-        raise DomainError("qualities and prices must have equal length")
+    """theta_j - p_j of each seller, both read with real_number; DomainError unless both are
+    sequences of equal length."""
+    try:
+        equal = len(qualities) == len(prices)
+    except TypeError:  # a scalar
+        equal = False
+    if not equal:
+        raise DomainError("qualities and prices must be sequences of equal length")
     return [real_number(t, "qualities") - real_number(p, "prices") for t, p in zip(qualities, prices)]
 
 
@@ -727,8 +736,8 @@ def best_response_price(qualities: Sequence[float], prices: Sequence[float], i: 
     1 - p(1 - q_i(p)) = 0 has a single sign change because its left side is
     strictly decreasing, so a bracketed Newton iteration suffices.
     """
-    (i,) = distinct_indices((i,), len(qualities), "seller index")
     utils = _utilities(qualities, prices)
+    (i,) = distinct_indices((i,), len(utils), "seller index")
     p_max = max(20.0, max(qualities) + 20.0)
     # log of the rival-plus-outside weight: ln(1 + sum_{j != i} e^{theta_j - p_j})
     log_rival = _log_outside_sum(utils[:i] + utils[i + 1:])

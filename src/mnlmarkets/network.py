@@ -15,8 +15,9 @@ equals capacity. Convergence of the dynamics is not guaranteed by theory, so
 non-convergence is reported in the result rather than raised; the report's
 residual (the largest unilateral gain) is computed on first access.
 
-Prices are finite, one per seller, else DomainError. _price_vector checks
-them, so an invisible pair's -inf in the one masked theta stays -inf.
+Prices are finite, one per seller, else DomainError. _price_vector reads
+them with real_array and checks them, so an invisible pair's -inf in the one
+masked theta stays -inf.
 
 A best response reads only the columns of the seller's visible buyers,
 which the market lists once per seller, and evaluates its share vectors in

@@ -47,7 +47,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -109,6 +109,17 @@ class HeterogeneousInstance:
     qualities: tuple[float, ...]
     growth: float
     horizon: int
+    solo_revenues: tuple[float, ...] = field(init=False)  # solved once per buyer from its quality
+
+    def __post_init__(self):
+        horizon = whole_number(self.horizon, "horizon")
+        qualities = tuple(real_number(q, "qualities") for q in self.qualities)
+        if len(qualities) != horizon:
+            raise DomainError(f"need one quality per buyer: {len(qualities)} for horizon {horizon}")
+        object.__setattr__(self, "qualities", qualities)
+        object.__setattr__(self, "growth", real_number(self.growth, "growth"))
+        object.__setattr__(self, "horizon", horizon)
+        object.__setattr__(self, "solo_revenues", tuple(map(solo_revenue_for_quality, qualities)))
 
     def _buyer(self, t: int) -> int:
         """t as an int; DomainError unless it is an integer in [1, horizon], numpy's included."""
@@ -124,7 +135,7 @@ class HeterogeneousInstance:
 
     def solo_revenue(self, t: int) -> float:
         """Actual solo equilibrium revenue of buyer t, solved from quality."""
-        return solo_revenue_for_quality(self.qualities[self._buyer(t) - 1])
+        return self.solo_revenues[self._buyer(t) - 1]
 
     def solo_demand(self, t: int) -> float:
         r = self.solo_revenue(t)

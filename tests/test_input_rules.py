@@ -9,6 +9,12 @@ a bare TypeError, IndexError or numpy ValueError through. A valid value
 gives bit-identical results in each of its forms: an int, a whole float
 and a numpy scalar for a count, a numpy integer for an index, and a
 numpy float (and an int, if whole) for a real.
+
+Every real-array argument is read by ``real_array``; ARRAY_DOORS lists
+them. Each rejects an entry that is a boolean, a numeral string, None or
+complex, a numpy boolean array and a ragged nesting, and a valid value
+gives the same bits as a list of floats, a list of ints, a float64 array
+and an int64 array.
 """
 
 import dataclasses
@@ -19,21 +25,30 @@ import pytest
 
 from mnlmarkets import (
     BipartiteMarket,
+    ColumnSet,
     DomainError,
+    HeterogeneousInstance,
     ItemCatalog,
     OnlineInstance,
+    Pool,
     adversarial_instance,
     always_offer_ratios,
     best_response_price,
     classify_heavy,
     enumerate_columns,
     episode_rng,
+    equilibrate_pool,
+    equilibrium_outcome,
     estimate_ratios,
     exponential_weight,
     hybrid_ratio_bound,
     mnl_demand,
+    network_demand,
     price_game_potential,
     quality_for_target_revenue,
+    seller_best_response,
+    seller_utility,
+    simplex_solve,
     solo_revenue_for_quality,
     solve_opt,
     solve_opt_fixed_rev,
@@ -41,6 +56,7 @@ from mnlmarkets import (
     threshold_headroom,
     verify_equilibrium,
 )
+from mnlmarkets.equilibrium import real_array
 
 CAT = ItemCatalog([1.0, 0.5], [2, 2])
 MARKET = BipartiteMarket([[2.0, 0.5], [1.0, 1.5]])
@@ -158,3 +174,123 @@ def test_named_cases():
         hybrid_ratio_bound("0.6")  # once returned the bound at 0.6
     whole_float = estimate_ratios(cat, ["hybrid"], [0.6], [5.0], 3, 0)
     assert whole_float == estimate_ratios(cat, ["hybrid"], [0.6], [5], 3, 0)
+
+
+LP_ROWS, LP_RHS, LP_OBJECTIVE = [[1.0, 2.0], [3.0, 1.0]], [4.0, 6.0], [1.0, 3.0]
+
+# (door, call, valid value), each value whole so that its ints read alike.
+ARRAY_DOORS = [
+    ("BipartiteMarket theta", BipartiteMarket, [[2.0, 0.0], [1.0, 1.0]]),
+    ("network_demand prices", lambda v: network_demand(MARKET, v), [1.0, 2.0]),
+    ("seller_utility prices", lambda v: seller_utility(MARKET, v, 0), [1.0, 2.0]),
+    ("seller_best_response prices", lambda v: seller_best_response(MARKET, v, 0), [1.0, 2.0]),
+    ("verify_equilibrium prices", lambda v: verify_equilibrium(MARKET, v), [1.0, 2.0]),
+    ("simplex_solve rows", lambda v: simplex_solve(v, LP_RHS, LP_OBJECTIVE), LP_ROWS),
+    ("simplex_solve rhs", lambda v: simplex_solve(LP_ROWS, v, LP_OBJECTIVE), LP_RHS),
+    ("simplex_solve objective", lambda v: simplex_solve(LP_ROWS, LP_RHS, v), LP_OBJECTIVE),
+    ("ColumnSet demands", lambda v: ColumnSet(CAT, v, np.array([1.0, 2.0, 3.0])), [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]),
+    ("ColumnSet revenues", lambda v: ColumnSet(CAT, np.eye(2, 3), v), [1.0, 2.0, 3.0]),
+]
+ARRAY_IDS = [door for door, *_ in ARRAY_DOORS]
+
+
+def with_first_entry(value, entry):
+    """The nested list value with its first number replaced by entry."""
+    if isinstance(value[0], list):
+        return [with_first_entry(value[0], entry), *value[1:]]
+    return [entry, *value[1:]]
+
+
+def ragged(value):
+    """value nested unevenly: the last row one entry short, or a 1-d value's last entry in a list."""
+    if isinstance(value[0], list):
+        return [*value[:-1], value[-1][:-1]]
+    return [*value[:-1], [value[-1]]]
+
+
+def array_forms(value):
+    """The valid value as a list of floats, a list of ints and float64 and int64 arrays."""
+    ints = np.array(value, dtype=np.int64)
+    return [value, ints.tolist(), np.array(value), ints]
+
+
+@pytest.mark.parametrize("door, call, value", ARRAY_DOORS, ids=ARRAY_IDS)
+def test_malformed_arrays_raise_domain_error(door, call, value):
+    bad = [with_first_entry(value, entry) for entry in (True, "1.0", None, 1 + 0j)]
+    for array in (*bad, np.ones(np.shape(value), dtype=bool), ragged(value)):
+        with pytest.raises(DomainError):
+            call(array)
+
+
+@pytest.mark.parametrize("door, call, value", ARRAY_DOORS, ids=ARRAY_IDS)
+def test_every_form_of_a_valid_array_gives_the_same_bits(door, call, value):
+    results = [canonical(call(v)) for v in array_forms(value)]
+    assert all(r == results[0] for r in results[1:])
+
+
+def test_real_array_returns_a_float64_array_as_itself():
+    prices = np.array([1.0, 2.0])
+    assert real_array(prices, "prices") is prices
+    assert real_array(np.array([1, 2]), "prices").dtype == np.float64
+    with pytest.raises(DomainError, match="too large for a double"):
+        real_array([1.0, 10**400], "prices")
+    with pytest.raises(DomainError, match="ragged"):
+        real_array([np.ones((2, 2)), np.ones((2, 3))], "theta")  # numpy's own ValueError once
+
+
+def test_bipartite_market_leaves_the_callers_theta_writable():
+    theta = np.array([[2.0, 0.5], [1.0, 1.5]])
+    market = BipartiteMarket(theta)
+    assert theta.flags.writeable and not market.theta.flags.writeable
+    theta[0, 0] = 9.0
+    assert market.theta[0, 0] == 2.0
+
+
+def test_named_array_cases():
+    # Each once ran: the first two returned [[0.5]], the simplex objective 1.0.
+    one = BipartiteMarket([[1.0]])
+    for call in (
+        lambda: network_demand(one, [True]),
+        lambda: network_demand(one, ["1.0"]),
+        lambda: network_demand(one, np.array([1 + 0j])),  # warned and dropped the imaginary part
+        lambda: simplex_solve([[True]], ["1"], [True]),
+    ):
+        with pytest.raises(DomainError):
+            call()
+    # Each once raised a bare numpy ValueError.
+    for call in (
+        lambda: verify_equilibrium(MARKET, ["a", 1.0]),
+        lambda: simplex_solve([[1.0], [1.0, 2.0]], [1.0, 1.0], [1.0]),
+        lambda: ColumnSet(ItemCatalog([1.0], [1]), [["x"]], [1.0]),
+    ):
+        with pytest.raises(DomainError):
+            call()
+
+
+def test_a_scalar_where_a_sequence_is_due():
+    # Each once raised a bare TypeError.
+    for call in (
+        lambda: equilibrate_pool(MARKET, Pool(0, 5)),
+        lambda: equilibrium_outcome(CAT, 0),
+        lambda: CAT.positions(0),
+        lambda: mnl_demand(1.0, 1.0),
+        lambda: best_response_price(2.0, 1.0, 0),
+        lambda: price_game_potential(2.0, [1.0]),
+    ):
+        with pytest.raises(DomainError, match="sequence"):
+            call()
+
+
+def test_heterogeneous_instance_checks_its_fields():
+    with pytest.raises(DomainError, match="one quality per buyer"):
+        HeterogeneousInstance(qualities=(2.0,), growth=2.0, horizon=3)  # once an IndexError on solo_revenue(3)
+    with pytest.raises(DomainError, match="growth"):
+        HeterogeneousInstance(qualities=(2.0,), growth="2", horizon=1)  # once a TypeError on target_revenue(1)
+    for bad in (True, "2.0", None):
+        with pytest.raises(DomainError, match="qualities"):
+            HeterogeneousInstance(qualities=(bad,), growth=2.0, horizon=1)
+    for bad in (True, 1.5, "1"):
+        with pytest.raises(DomainError, match="horizon"):
+            HeterogeneousInstance(qualities=(2.0,), growth=2.0, horizon=bad)
+    family = HeterogeneousInstance(qualities=FAMILY.qualities, growth=4, horizon=3.0)
+    assert canonical(family) == canonical(FAMILY)

@@ -628,3 +628,13 @@ class TestAdversarialInstance:
         ratios = [always_offer_ratios(inst, t)[-1] for t in (1, 4, 7, 10)]
         assert all(b < a for a, b in zip(ratios, ratios[1:]))
         assert ratios[-1] < 0.01
+
+    def test_adversary_demo_solves_each_buyer_once(self, monkeypatch, capsys):
+        # The table and always_offer_ratios each solved every buyer twice:
+        # 32 solves for 8 buyers.
+        from mnlmarkets import cli
+        solves = []
+        solve = simulate.solo_revenue_for_quality
+        monkeypatch.setattr(simulate, "solo_revenue_for_quality", lambda q: solves.append(q) or solve(q))
+        assert cli.main(["adversary-demo", "--horizon", "8"]) == 0
+        assert len(solves) == 8 and capsys.readouterr().out
