@@ -54,7 +54,8 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .equilibrium import (DomainError, EquilibriumOutcome, ItemCatalog, distinct_indices, equilibrium_outcome,
-                          quality_for_target_revenue, real_number, solo_revenue_for_quality, whole_number)
+                          quality_for_target_revenue, real_array, real_number, solo_revenue_for_quality,
+                          whole_number)
 from .lp import enumerate_columns, solve_opt
 from .policies import (
     OnlineInstance,
@@ -113,13 +114,13 @@ class HeterogeneousInstance:
 
     def __post_init__(self):
         horizon = whole_number(self.horizon, "horizon")
-        qualities = tuple(real_number(q, "qualities") for q in self.qualities)
-        if len(qualities) != horizon:
-            raise DomainError(f"need one quality per buyer: {len(qualities)} for horizon {horizon}")
-        object.__setattr__(self, "qualities", qualities)
+        qualities = real_array(self.qualities, "qualities")
+        if qualities.shape != (horizon,):
+            raise DomainError(f"qualities must be a sequence of one quality per buyer, {horizon} in all")
+        object.__setattr__(self, "qualities", tuple(qualities.tolist()))
         object.__setattr__(self, "growth", real_number(self.growth, "growth"))
         object.__setattr__(self, "horizon", horizon)
-        object.__setattr__(self, "solo_revenues", tuple(map(solo_revenue_for_quality, qualities)))
+        object.__setattr__(self, "solo_revenues", tuple(map(solo_revenue_for_quality, self.qualities)))
 
     def _buyer(self, t: int) -> int:
         """t as an int; DomainError unless it is an integer in [1, horizon], numpy's included."""
@@ -134,7 +135,7 @@ class HeterogeneousInstance:
         return self.growth ** self._buyer(t)
 
     def solo_revenue(self, t: int) -> float:
-        """Actual solo equilibrium revenue of buyer t, solved from quality."""
+        """Actual solo equilibrium revenue of buyer t, solved from its quality when the instance was built."""
         return self.solo_revenues[self._buyer(t) - 1]
 
     def solo_demand(self, t: int) -> float:

@@ -284,6 +284,8 @@ def test_a_scalar_where_a_sequence_is_due():
 def test_heterogeneous_instance_checks_its_fields():
     with pytest.raises(DomainError, match="one quality per buyer"):
         HeterogeneousInstance(qualities=(2.0,), growth=2.0, horizon=3)  # once an IndexError on solo_revenue(3)
+    with pytest.raises(DomainError, match="one quality per buyer"):
+        HeterogeneousInstance(qualities=2.0, growth=2.0, horizon=1)
     with pytest.raises(DomainError, match="growth"):
         HeterogeneousInstance(qualities=(2.0,), growth="2", horizon=1)  # once a TypeError on target_revenue(1)
     for bad in (True, "2.0", None):
