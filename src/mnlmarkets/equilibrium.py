@@ -91,15 +91,22 @@ def real_array(values, what: str) -> np.ndarray:
         raise DomainError(f"{what}: an integer too large for a double") from None
 
 
-def distinct_indices(values, size: int, what: str) -> tuple[int, ...]:
-    """The values as ints in their given order; DomainError unless each is an
-    integer in [0, size), numpy integers included and booleans not, and none repeats."""
+def sequence(values, what: str) -> tuple:
+    """values' entries as a tuple, a tuple as itself; DomainError for what iter() rejects, a str or bytes."""
+    if isinstance(values, tuple):
+        return values
     try:
-        values = iter(values)
+        entries = iter(None if isinstance(values, (str, bytes)) else values)  # a string raises as a scalar does
     except TypeError:  # a scalar
         raise DomainError(f"{what}: {values!r} is not a sequence") from None
+    return tuple(entries)
+
+
+def distinct_indices(values, size: int, what: str) -> tuple[int, ...]:
+    """The values as ints in their given order; DomainError unless they are a sequence,
+    each an integer in [0, size), numpy integers included and booleans not, and none repeats."""
     seen = {}
-    for v in values:
+    for v in sequence(values, what):
         if isinstance(v, bool) or not isinstance(v, numbers.Integral):
             raise DomainError(f"{what}: {v!r} is not an integer")
         if not 0 <= v < size:
@@ -145,8 +152,8 @@ class ItemCatalog:
     order: tuple[int, ...]
 
     def __init__(self, qualities, inventories, costs=None):
-        qualities = [real_number(t, "qualities") for t in qualities]
-        inventories = [whole_number(c, "inventories") for c in inventories]
+        qualities = [real_number(t, "qualities") for t in sequence(qualities, "qualities")]
+        inventories = [whole_number(c, "inventories") for c in sequence(inventories, "inventories")]
         n = len(qualities)
         if n < 1:
             raise DomainError("catalog needs at least one item")
@@ -157,7 +164,7 @@ class ItemCatalog:
         if any(c < 1 for c in inventories):
             raise DomainError("inventories must be >= 1")
         if costs is not None:
-            costs = [real_number(b, "costs") for b in costs]
+            costs = [real_number(b, "costs") for b in sequence(costs, "costs")]
             if len(costs) != n:
                 raise DomainError("costs must match the number of items")
             if any(b < 0 or not math.isfinite(b) for b in costs):
@@ -691,10 +698,7 @@ def mnl_demand(qualities: Sequence[float], prices: Sequence[float]) -> list[floa
     no-purchase share is 1 - sum(q). Exponents are shifted by their maximum
     before summing so arbitrarily large qualities stay finite.
     """
-    utils = _utilities(qualities, prices)
-    shift = max(0.0, max(utils, default=0.0))
-    weights = [math.exp(u - shift) for u in utils]
-    denom = math.exp(-shift) + _sequential_sum(weights)
+    _, weights, denom = _shifted_exp(_utilities(qualities, prices))
     return [w / denom for w in weights]
 
 
@@ -704,29 +708,28 @@ def price_game_potential(qualities: Sequence[float], prices: Sequence[float]) ->
     A unilateral move p_i -> p_i' changes ln(potential) by exactly
     ln r_i(p) - ln r_i(p'), so best responses climb it and converge.
     """
+    prices = sequence(prices, "prices")  # read again below, so a one-shot iterator must be read once
     utils = _utilities(qualities, prices)
     if any(p <= 0.0 for p in prices):
         raise DomainError("potential requires strictly positive prices")
     log_num = _sequential_sum(math.log(p) + u for p, u in zip(prices, utils))
-    return math.exp(log_num - _log_outside_sum(utils))
+    shift, _, denom = _shifted_exp(utils)
+    return math.exp(log_num - (shift + math.log(denom)))
 
 
 def _utilities(qualities: Sequence[float], prices: Sequence[float]) -> list[float]:
-    """theta_j - p_j of each seller, both read with real_number; DomainError unless both are
-    sequences of equal length."""
-    try:
-        equal = len(qualities) == len(prices)
-    except TypeError:  # a scalar
-        equal = False
-    if not equal:
+    """theta_j - p_j of each seller, read with real_number from two sequences of equal length."""
+    qualities, prices = sequence(qualities, "qualities"), sequence(prices, "prices")
+    if len(qualities) != len(prices):
         raise DomainError("qualities and prices must be sequences of equal length")
     return [real_number(t, "qualities") - real_number(p, "prices") for t, p in zip(qualities, prices)]
 
 
-def _log_outside_sum(utils: Sequence[float]) -> float:
-    """ln(1 + sum_j e^{u_j}), exponents shifted by max(0, max u) so none overflows."""
+def _shifted_exp(utils: Sequence[float]) -> tuple[float, list[float], float]:
+    """(shift, e^{u - shift}, e^{-shift} + their sum) for shift = max(0, max u), so no exp overflows."""
     shift = max(0.0, max(utils, default=0.0))
-    return shift + math.log(math.exp(-shift) + _sequential_sum(math.exp(u - shift) for u in utils))
+    weights = [math.exp(u - shift) for u in utils]
+    return shift, weights, math.exp(-shift) + _sequential_sum(weights)
 
 
 def best_response_price(qualities: Sequence[float], prices: Sequence[float], i: int) -> float:
@@ -736,11 +739,13 @@ def best_response_price(qualities: Sequence[float], prices: Sequence[float], i: 
     1 - p(1 - q_i(p)) = 0 has a single sign change because its left side is
     strictly decreasing, so a bracketed Newton iteration suffices.
     """
+    qualities = sequence(qualities, "qualities")  # read again below, as in price_game_potential
     utils = _utilities(qualities, prices)
     (i,) = distinct_indices((i,), len(utils), "seller index")
     p_max = max(20.0, max(qualities) + 20.0)
     # log of the rival-plus-outside weight: ln(1 + sum_{j != i} e^{theta_j - p_j})
-    log_rival = _log_outside_sum(utils[:i] + utils[i + 1:])
+    shift, _, denom = _shifted_exp(utils[:i] + utils[i + 1:])
+    log_rival = shift + math.log(denom)
     theta = real_number(qualities[i], "qualities")
 
     def share(p: float) -> float:

@@ -45,7 +45,7 @@ from functools import lru_cache
 import numpy as np
 
 from .equilibrium import (DomainError, ItemCatalog, SolverError, _solve_masks, _solve_outcome, distinct_indices,
-                          real_array, real_number, whole_number)
+                          real_array, real_number, sequence, whole_number)
 
 _MAX_COLUMNS_EXPONENT = 20
 # Smallest catalog enumerated by the batched kernel, which costs about 0.6 ms
@@ -274,9 +274,9 @@ def solve_opt_fixed_rev(catalog: ItemCatalog, m: int, r: Sequence[float]) -> LpS
     the members of S alone, in member order.
     Each r_i must be finite, which also keeps inf * 0.0 out of those rows.
     """
+    r = [real_number(r_i, "fixed revenues") for r_i in sequence(r, "fixed revenues")]
     if len(r) != len(catalog):
         raise DomainError("fixed revenue vector must have one entry per item")
-    r = [real_number(r_i, "fixed revenues") for r_i in r]
     if not all(map(math.isfinite, r)):
         raise DomainError("fixed revenues must be finite")
     cols = enumerate_columns(catalog)

@@ -36,7 +36,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .equilibrium import DomainError, SolverError, _newton, distinct_indices, real_array, real_number, whole_number
+from .equilibrium import (DomainError, SolverError, _newton, distinct_indices, real_array, real_number, sequence,
+                          whole_number)
 
 CONSISTENT_SHARE_CAP = 0.91
 _BR_TOL = 1e-12
@@ -78,7 +79,7 @@ class BipartiteMarket:
                 raise DomainError("visibility must match theta's shape")
         if capacities is None:
             capacities = [1] * n
-        capacities = [whole_number(c, "capacities") for c in capacities]
+        capacities = [whole_number(c, "capacities") for c in sequence(capacities, "capacities")]
         if len(capacities) != n or any(c < 1 for c in capacities):
             raise DomainError("capacities must give a positive integer per seller")
         if any(c >= 2**63 for c in capacities):  # the flow counts units in int64

@@ -54,7 +54,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .equilibrium import (DomainError, EquilibriumOutcome, ItemCatalog, distinct_indices, equilibrium_outcome,
-                          quality_for_target_revenue, real_array, real_number, solo_revenue_for_quality,
+                          quality_for_target_revenue, real_array, real_number, sequence, solo_revenue_for_quality,
                           whole_number)
 from .lp import enumerate_columns, solve_opt
 from .policies import (
@@ -453,18 +453,19 @@ def estimate_ratios(
     """Ratio estimates of every (policy, threshold, buyers) row, in that order.
 
     Rows run policy by policy, then threshold, then buyer count, as the CLI
-    prints them; each policy is a key of ``POLICIES``, and replication r
-    always uses the (seed, r) stream. Inventories of 2^63 or more, which
-    the int64 stock cannot hold, raise first, then a replication count or
-    seed that is not a whole number. Every row is checked before any episode
-    runs, in row order, so the first bad row raises: its instance (whose
-    buyer count the row then reads), its replication count and policy name,
-    then counts whose (replications, buyers) matrix of doubles numpy cannot
-    address, then more than 2^32 replications, whose index r would not be
-    one 32-bit seed word; then, the first time a row reaches its buyer
-    count, the LP optimum at that count is solved, and the later rows read
-    it back, so a catalog beyond the LP's 20-item cap is rejected before
-    any episode runs.
+    prints them; each policy is one the engine has a rule for (hybrid,
+    greedy or modified), and replication r always uses the (seed, r) stream.
+    Inventories of 2^63 or more, which the int64 stock cannot hold, raise
+    first, then a replication count or seed that is not a whole number, then
+    policies, thresholds or buyer counts that are not a ``sequence``. Every
+    row is checked before any episode runs, in row order, so the first bad
+    row raises: its instance (whose buyer count the row then reads), its
+    replication count and policy name, then counts whose (replications,
+    buyers) matrix of doubles numpy cannot address, then more than 2^32
+    replications, whose index r would not be one 32-bit seed word; then, the
+    first time a row reaches its buyer count, the LP optimum at that count
+    is solved, and the later rows read it back, so a catalog beyond the LP's
+    20-item cap is rejected before any episode runs.
 
     One lockstep pass per block of (policy, threshold) rows then plays all
     their replications to the largest buyer count and snapshots the revenue
@@ -478,14 +479,15 @@ def estimate_ratios(
     if max(catalog.inventories) >= 2**63:
         raise DomainError("inventories must be below 2**63 to simulate")
     replications, seed = whole_number(replications, "replications"), whole_number(seed, "seed")
-    rows = list(itertools.product(policies, thresholds))
+    rows = list(itertools.product(sequence(policies, "policies"), sequence(thresholds, "thresholds")))
+    buyer_counts = sequence(buyer_counts, "buyer counts")
     opts = {}
     for name, threshold in rows:
         for m in buyer_counts:
             m = OnlineInstance(catalog, m, threshold).m  # checks the threshold, reads m as a count >= 0
             if replications < 1:
                 raise DomainError("need at least one replication")
-            if not isinstance(name, str) or name not in POLICIES:
+            if not isinstance(name, str) or name not in _MASK_RULES:
                 raise DomainError(f"unknown policy {name!r}")
             # The engine's widest arrays are (replications, m) draws and
             # (replications, n + 1) stock and demand rows, of 8-byte elements.
@@ -518,8 +520,8 @@ def estimate_ratio(
 ) -> RatioEstimate:
     """Mean episode revenue over independent replications, divided by OPT.
 
-    The one-row case of ``estimate_ratios``, with its checks: ``name`` is a
-    key of ``POLICIES``, replication r always uses the (seed, r) stream, and
+    The one-row case of ``estimate_ratios``, with its checks: ``name`` is
+    one of its three policies, replication r always uses the (seed, r) stream, and
     all replications run in lockstep in this process with the revenues
     ``run_episode`` gives, bit for bit.
     """

@@ -661,6 +661,41 @@ def scalar_revenues(name, inst, replications, seed):
     ]
 
 
+def exact_policy_value(instance, name):
+    """Expected revenue of the greedy or hybrid rule on instance, by dynamic programming.
+
+    V_t(s) = sum_i q_i(S(s)) (p_i(S(s)) + V_{t-1}(s - e_i)) + q_0(S(s)) V_{t-1}(s)
+    from V_0 = 0, over every stock vector s at once, s indexed in mixed radix
+    (digit i in [0, c_i]); the value is V_m at full stock. Both rules read
+    only which items have stock, so POLICIES[name] decides once per in-stock
+    mask. Shares the POLICIES rules and equilibrium_outcome, not the lockstep
+    engine or its choice tables.
+    """
+    if name not in ("greedy", "hybrid"):
+        raise ValueError(f"policy {name!r} reads more of the stock than which items have it")
+    catalog = instance.catalog
+    caps = np.array(catalog.inventories)
+    n = caps.size
+    strides = np.cumprod([1, *(caps[:-1] + 1)])
+    states = np.arange(int(np.prod(caps + 1)))
+    in_stock = states[:, None] // strides % (caps + 1) > 0
+    q, p, q0 = np.zeros((1 << n, n)), np.zeros((1 << n, n)), np.zeros(1 << n)
+    for mask in range(1 << n):
+        outcome = equilibrium_outcome(catalog, POLICIES[name](instance, [mask >> i & 1 for i in range(n)]))
+        q[mask, list(outcome.members)] = outcome.demands
+        p[mask, list(outcome.members)] = outcome.prices
+        q0[mask] = outcome.q0
+    masks = in_stock @ (1 << np.arange(n))
+    q, q0 = q[masks], q0[masks]
+    sale = (q * p[masks]).sum(axis=1)
+    # A rule offers only items in stock, so where s_i = 0 the weight q_i is 0.
+    after_sale = np.where(in_stock, states[:, None] - strides, states[:, None])
+    value = np.zeros(states.size)
+    for _ in range(instance.m):
+        value = sale + (q * value[after_sale]).sum(axis=1) + q0 * value
+    return float(value[-1])
+
+
 def reference_row(name, catalog, threshold, m, replications, seed):
     """(mean, se, opt, ratio) of one row, computed from run_episode's revenues.
 

@@ -18,6 +18,10 @@ catalog is heavy at 0.63 or above, so hybrid there is greedy. The buyer
 sweep checks ratio levels at both horizons and what a longer horizon does
 guarantee under one seed: path prefixes, rising revenue and a nondecreasing
 concave LP optimum; the measured ratio itself is not monotone in m.
+
+Criteria 5 and 6 are checked again on exact expected revenues from
+``oracles.exact_policy_value``, a dynamic program over every stock vector,
+which also shows the LP optimum above each policy's value.
 """
 
 import json
@@ -25,6 +29,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from mnlmarkets.cli import main
 from mnlmarkets.equilibrium import (
@@ -48,7 +53,7 @@ from mnlmarkets.simulate import (
     run_episode,
     threshold_headroom,
 )
-from oracles import (brute_force_assignment, expanded_opt, oracle_best_responses, oracle_solo,
+from oracles import (brute_force_assignment, exact_policy_value, expanded_opt, oracle_best_responses, oracle_solo,
                      single_buyer_prices)
 
 E = math.e
@@ -257,6 +262,38 @@ class TestCriterion06HybridGuarantee:
         ok = failures == 0
         report(6, ok, f"50 instances; worst hybrid ratio+3se {worst:.4f} vs 0.057")
         assert failures == 0
+
+
+class TestCriteria05And06ExactValues:
+    """Criteria 5 and 6 on the exact policy values, without sampling."""
+
+    def test_exact_values_meet_the_guarantees_and_the_lp_bound(self):
+        start = time.perf_counter()
+        margin, ratio, above_lp = math.inf, math.inf, -math.inf
+        exact = []
+        for cat, m in _policy_corpus():
+            inst = OnlineInstance(cat, m, 0.63)
+            opt = solve_opt(cat, m).objective
+            greedy, hybrid = exact_policy_value(inst, "greedy"), exact_policy_value(inst, "hybrid")
+            margin = min(margin, greedy - 0.5 * solve_opt_fixed_rev(cat, m, [1.0] * len(cat)).objective)
+            ratio = min(ratio, hybrid / opt)
+            above_lp = max(above_lp, greedy / opt - 1.0, hybrid / opt - 1.0)
+            exact.append((inst, greedy, hybrid))
+        # The first five estimates of criteria 5-6, on their seeds, agree with the exact values.
+        for i, (inst, greedy, hybrid) in enumerate(exact[:5]):
+            for name, value, seed in (("greedy", greedy, 50_000 + i), ("hybrid", hybrid, 60_000 + i)):
+                est = estimate_ratio(name, inst, 2000, seed=seed)
+                if est.std_error > 0:
+                    assert abs(est.mean_revenue - value) <= 4.0 * est.std_error, (i, name)
+                else:
+                    assert est.mean_revenue == pytest.approx(value, rel=1e-9, abs=0.0), (i, name)
+        elapsed = time.perf_counter() - start
+        print(f"criteria 05-06 exact - worst greedy margin over 0.5*OPT(r=1) {margin:+.3f}, worst hybrid "
+              f"ratio {ratio:.4f} vs {hybrid_ratio_bound(0.63):.4f}, largest value/LP - 1 {above_lp:+.2e}, "
+              f"runtime {elapsed:.1f} s")
+        assert margin >= 0.0
+        assert ratio >= hybrid_ratio_bound(0.63)
+        assert above_lp <= 0.0  # the LP optimum bounds every online policy
 
 
 class TestCriterion07SimulationTrends:

@@ -146,6 +146,15 @@ class TestOptCommand:
         code, out, _ = run(["opt", str(path), "--buyers", "3"], capsys)
         assert code == 0 and json.loads(out)["objective"] > 0.0
 
+    @pytest.mark.parametrize("field, value", [("qualities", 5), ("inventories", 1), ("qualities", "12")])
+    def test_a_scalar_where_a_list_is_due_exits_2(self, tmp_path, capsys, field, value):
+        # Once "error: catalog: 'int' object is not iterable", or a string read as its characters.
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({**EXAMPLE_CATALOG, field: value}))
+        code, out, err = run(["opt", str(path), "--buyers", "3"], capsys)
+        assert_one_error_line(code, out, err)
+        assert err == f"error: catalog: {field}: {value!r} is not a sequence\n"
+
     def test_columns_of_one_catalog_are_kept(self, tmp_path, catalog_path, capsys):
         other = tmp_path / "other.json"
         other.write_text(json.dumps({"schema": 1, "qualities": [0.5, 1.5, 2.5], "inventories": [1, 2, 3]}))
@@ -488,6 +497,14 @@ class TestNetworkCommand:
         path = tmp_path / "m.json"
         path.write_text(json.dumps({"schema": 1, "theta": [[2.0]], "capacities": capacities}))
         assert_one_error_line(*run(["segment", str(path)], capsys))
+
+    def test_scalar_capacities_exit_2(self, tmp_path, capsys):
+        # Once "error: market: 'int' object is not iterable".
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"schema": 1, "theta": [[2.0]], "capacities": 5}))
+        code, out, err = run(["segment", str(path)], capsys)
+        assert_one_error_line(code, out, err)
+        assert err == "error: market: capacities: 5 is not a sequence\n"
 
     @pytest.mark.parametrize("command", ["network", "segment"])
     def test_capacities_past_int64(self, tmp_path, capsys, command):

@@ -16,6 +16,10 @@ complex, a numpy boolean or complex array and a ragged nesting (once
 ``network_demand(m, [True])`` ran, and a ragged LP raised numpy's
 ValueError). A valid value gives the same bits as a list of floats, a list
 of ints, a float64 array and an int64 array.
+
+Every list argument is read by ``sequence`` before its entries: a scalar,
+a 0-d array, a str or bytes where a list is due raises DomainError naming
+the field, and a one-shot iterator reads as its list.
 """
 
 import dataclasses
@@ -57,7 +61,7 @@ from mnlmarkets import (
     threshold_headroom,
     verify_equilibrium,
 )
-from mnlmarkets.equilibrium import real_array
+from mnlmarkets.equilibrium import real_array, sequence
 
 CAT = ItemCatalog([1.0, 0.5], [2, 2])
 MARKET = BipartiteMarket([[2.0, 0.5], [1.0, 1.5]])
@@ -257,9 +261,37 @@ def test_a_scalar_where_a_sequence_is_due():
         lambda: mnl_demand(1.0, 1.0),
         lambda: best_response_price(2.0, 1.0, 0),
         lambda: price_game_potential(2.0, [1.0]),
+        lambda: ItemCatalog(5, [1]),
+        lambda: ItemCatalog([1.0], 1),
+        lambda: ItemCatalog([1.0], [1], costs=5),
+        lambda: BipartiteMarket([[1.0]], capacities=5),
+        lambda: solve_opt_fixed_rev(CAT, 2, 5),
+        lambda: sweep(thresholds=0.6),
+        lambda: sweep(buyer_counts=3),
+        lambda: estimate_ratios(CAT, None, [0.6], [3], 3, 0),
+        lambda: BipartiteMarket([[1.0]], capacities=np.array(1)),
+        # A string once read as its characters: qualities '1' and '2', policy 'h'.
+        lambda: ItemCatalog("12", [1, 1]),
+        lambda: ItemCatalog([1.0], b"\x01"),
+        lambda: estimate_ratios(CAT, "hybrid", [0.6], [3], 3, 0),
+        lambda: mnl_demand("12", [1.0, 1.0]),
     ):
         with pytest.raises(DomainError, match="sequence"):
             call()
+
+
+def test_sequence_reads_each_iterable_once_and_keeps_a_tuple():
+    prices = (1.0, 2.0)
+    assert sequence(prices, "prices") is prices
+    assert sequence([1.0, 2.0], "prices") == prices
+    assert sequence(iter([1.0, 2.0]), "prices") == prices
+    assert sequence(np.array([1.0, 2.0]), "prices") == prices
+    # A one-shot iterable is read once, so every row sees every buyer count.
+    assert sweep(buyer_counts=iter([4, 5])) == sweep(buyer_counts=[4, 5])
+    demand = mnl_demand([2.0, 0.5], [1.0, 1.0])
+    assert canonical(mnl_demand(iter([2.0, 0.5]), iter([1.0, 1.0]))) == canonical(demand)
+    assert price_game_potential([2.0, 0.5], iter([1.0, 1.0])) == price_game_potential([2.0, 0.5], [1.0, 1.0])
+    assert best_response_price(iter([2.0, 0.5]), [1.0, 1.0], 1) == best_response_price([2.0, 0.5], [1.0, 1.0], 1)
 
 
 def test_heterogeneous_instance_checks_its_fields():

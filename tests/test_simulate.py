@@ -162,6 +162,16 @@ class TestEstimateRatio:
             with pytest.raises(DomainError, match="unknown policy"):
                 estimate_ratio(policy, inst, replications=1, seed=0)
 
+    def test_a_policy_the_engine_cannot_play_is_unknown(self, monkeypatch):
+        # A POLICIES key without a lockstep rule once passed the name check
+        # and raised a bare KeyError in the engine; run_episode still plays it.
+        monkeypatch.setitem(POLICIES, "mine", POLICIES["hybrid"])
+        inst = OnlineInstance(ItemCatalog([2.0, 0.5], [2, 2]), m=3, threshold=0.6)
+        with pytest.raises(DomainError, match="unknown policy 'mine'"):
+            estimate_ratio("mine", inst, replications=3, seed=0)
+        mine = run_episode(POLICIES["mine"], inst, episode_rng(0, 0))
+        assert mine == run_episode(POLICIES["hybrid"], inst, episode_rng(0, 0))
+
     def test_replications_beyond_stream_indices_rejected(self):
         # 2**32 + 1 rows are addressable at m = 1, but index 2**32 is not one seed word.
         inst = OnlineInstance(ItemCatalog([2.0], [1]), 1, 0.5)
